@@ -1,8 +1,9 @@
-"""Shared deployment builders for the benchmark suite."""
+"""Shared deployment builders and pin checks for the benchmark suite."""
 
 from __future__ import annotations
 
-from typing import List, Optional
+from pathlib import Path
+from typing import List, Optional, Sequence, Tuple
 
 from repro.dfms import (
     SLA,
@@ -17,6 +18,32 @@ from repro.grid import DataGridManagementSystem, Permission
 from repro.network import Topology
 from repro.sim import Environment
 from repro.storage import GB, MB, PhysicalStorageResource, StorageClass
+from repro.workloads.chaos import sweep_fingerprint
+
+#: The pinned sweep fingerprints, by file, and the seeds each covers.
+PINNED_SEEDS = {
+    "chaos_sweep_baseline.sha256": list(range(20)),
+    "federation_chaos_baseline.sha256": list(range(10)),
+}
+
+
+def check_pin(reports: Sequence, pin: str,
+              what: str) -> Tuple[str, Optional[bool]]:
+    """Fingerprint a sweep and, when it ran exactly the pinned seeds,
+    assert it equals ``pin``.
+
+    Returns ``(fingerprint, matched)``; ``matched`` is ``None`` when the
+    sweep's seeds differ from the pin's, since then the two hashes are
+    not comparable.
+    """
+    fingerprint = sweep_fingerprint(reports)
+    if [report.seed for report in reports] != PINNED_SEEDS[pin]:
+        return fingerprint, None
+    recorded = Path(__file__).with_name(pin).read_text().strip()
+    assert fingerprint == recorded, (
+        f"{what} drifted from {pin} ({fingerprint[:12]} vs "
+        f"{recorded[:12]})")
+    return fingerprint, True
 
 
 class BenchGrid:

@@ -17,35 +17,18 @@ buys, on the chaos harness's CMS workload:
 Results land in ``BENCH_faults.json`` at the repo root.
 
 Set ``FAULTS_BENCH_SEEDS`` (comma-separated) to override the sweep — CI
-smoke runs a couple of seeds to keep wall time down. The per-seed
-clean/chaotic/fragile matrix fans out across cores on the
-:mod:`repro.farm` runner; results are deterministic and ordered, so the
-report is identical to the old serial loop's.
+smoke runs a couple of seeds to keep wall time down. Each seed runs a
+clean/chaotic/fragile triple, seed after seed.
 """
 
 import json
 import os
 from pathlib import Path
 
-from _helpers import BenchGrid  # noqa: F401  (sys.path side effect only)
-from repro.farm import run_farm
 from repro.faults import FaultSchedule
 from repro.workloads import run_chaos
 
 DEFAULT_SEEDS = [0, 1, 2, 3, 4]
-
-
-def _seed_matrix_row(seed):
-    """One seed's clean/chaotic/fragile triple — farmed across cores.
-
-    Module-level so it pickles into :func:`repro.farm.run_farm` workers;
-    each seed's three runs stay on one worker so the per-seed cost is the
-    unit of parallelism.
-    """
-    clean = run_chaos(seed, faults=False, recovery=False)
-    chaotic = run_chaos(seed, recovery=True)
-    fragile = run_chaos(seed, recovery=False)
-    return clean, chaotic, fragile
 
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 _RESULT_PATH = _REPO_ROOT / "BENCH_faults.json"
@@ -80,8 +63,10 @@ def test_e21_faults_recovery_overhead(benchmark, experiment):
 
     rows = []
     total_damage = 0
-    seed_results = run_farm(_seed_matrix_row, bench_seeds())
-    for seed, (clean, chaotic, fragile) in zip(bench_seeds(), seed_results):
+    for seed in bench_seeds():
+        clean = run_chaos(seed, faults=False, recovery=False)
+        chaotic = run_chaos(seed, recovery=True)
+        fragile = run_chaos(seed, recovery=False)
         assert chaotic.ok, chaotic.violations
         assert all(state == "completed"
                    for state in chaotic.executions.values())

@@ -25,13 +25,11 @@ only fires on the default 20-seed shape.
 """
 
 import gc
-import hashlib
 import json
-import os
 import time
 from pathlib import Path
 
-from _helpers import BenchGrid  # noqa: F401  (sys.path side effect only)
+from _helpers import check_pin
 from repro.workloads import default_chaos_seeds, run_chaos, run_chaos_sweep
 
 _REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -121,8 +119,6 @@ def test_e23_observed_sweep_bit_identical(benchmark, experiment):
 
     observed = run_chaos_sweep(seeds=seeds, observe=True)
     assert all(r.ok for r in observed), "chaos invariants violated"
-    sweep_sha = hashlib.sha256("\n".join(
-        repr(r.signature) for r in observed).encode()).hexdigest()
 
     # Recall, per seed: every injected fault window raised its alert.
     uncovered = sum(len(r.observe.uncovered_windows) for r in observed)
@@ -132,14 +128,8 @@ def test_e23_observed_sweep_bit_identical(benchmark, experiment):
         f"{uncovered} fault windows raised no alert across the sweep")
     assert total_windows == sum(r.faults_begun for r in observed)
 
-    baseline_path = Path(__file__).with_name("chaos_sweep_baseline.sha256")
-    comparable = len(seeds) == 20 and not os.environ.get("CHAOS_SEEDS")
-    bit_identical = None
-    if comparable and baseline_path.exists():
-        bit_identical = sweep_sha == baseline_path.read_text().strip()
-        assert bit_identical, (
-            "observed 20-seed chaos sweep drifted from the "
-            f"pre-observability baseline ({sweep_sha[:12]} vs recorded)")
+    sweep_sha, bit_identical = check_pin(
+        observed, "chaos_sweep_baseline.sha256", "observed chaos sweep")
 
     report.row(len(seeds), all(r.ok for r in observed), total_alerts,
                uncovered, sweep_sha[:12])

@@ -30,14 +30,13 @@ shrink the saturation sweep, ``CHAOS_SEEDS`` shrinks the sweep — the
 hard gates only fire at the default shapes.
 """
 
-import hashlib
 import json
 import os
 import time
 from pathlib import Path
 from statistics import median
 
-from _helpers import BenchGrid  # noqa: F401  (sys.path side effect only)
+from _helpers import check_pin
 from repro.dfms.cache import attach_cache
 from repro.grid.query import Query
 from repro.workloads import (
@@ -223,17 +222,8 @@ def test_e24_cached_sweep_bit_identical(benchmark, experiment):
 
     cached = run_chaos_sweep(seeds=seeds, cache=True)
     assert all(r.ok for r in cached), "chaos invariants violated under cache"
-    sweep_sha = hashlib.sha256("\n".join(
-        repr(r.signature) for r in cached).encode()).hexdigest()
-
-    baseline_path = Path(__file__).with_name("chaos_sweep_baseline.sha256")
-    comparable = len(seeds) == 20 and not os.environ.get("CHAOS_SEEDS")
-    bit_identical = None
-    if comparable and baseline_path.exists():
-        bit_identical = sweep_sha == baseline_path.read_text().strip()
-        assert bit_identical, (
-            "cache-attached 20-seed chaos sweep drifted from the "
-            f"pre-cache baseline ({sweep_sha[:12]} vs recorded)")
+    sweep_sha, bit_identical = check_pin(
+        cached, "chaos_sweep_baseline.sha256", "cache-attached chaos sweep")
 
     report.row(len(seeds), all(r.ok for r in cached), sweep_sha[:12])
     report.conclusion = (

@@ -12,7 +12,7 @@ claims and one safety claim:
 * **stale but never wrong** — every locate answer is re-verified against
   the authoritative per-zone catalogs; false positives cost a wasted
   query, never a phantom location.
-* **chaos survival** — a ≥10-seed sweep of cross-zone copy workloads
+* **chaos survival** — the 10-seed sweep of cross-zone copy workloads
   under zone outages and bridge degradations must hold every federation
   invariant (no lost replicas, zero wrong RLS answers, terminal copy
   outcomes, post-flush convergence), and the sweep fingerprint must
@@ -31,7 +31,7 @@ import os
 import time
 from pathlib import Path
 
-from _helpers import BenchGrid  # noqa: F401  (sys.path side effect only)
+from _helpers import check_pin
 from repro.federation import (
     FlatReplicaDirectory,
     LocalReplicaCatalog,
@@ -39,7 +39,6 @@ from repro.federation import (
     ReplicaLocationService,
     default_federation_seeds,
     run_federation_sweep,
-    sweep_fingerprint,
 )
 
 _REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -200,17 +199,9 @@ def test_e25_federation_chaos_sweep_survives_and_is_pinned(benchmark,
     assert all(r.wrong_answers == 0 for r in reports)
     assert any(r.faults_begun > 0 for r in reports)
 
-    fingerprint = sweep_fingerprint(reports)
-    baseline_path = Path(__file__).with_name(
-        "federation_chaos_baseline.sha256")
-    comparable = (len(seeds) >= 10
-                  and not os.environ.get("FEDERATION_CHAOS_SEEDS"))
-    pinned = None
-    if comparable and baseline_path.exists():
-        pinned = fingerprint == baseline_path.read_text().strip()
-        assert pinned, (
-            f"{len(seeds)}-seed federation chaos sweep drifted from the "
-            f"pinned baseline ({fingerprint[:12]} vs recorded)")
+    fingerprint, pinned = check_pin(
+        reports, "federation_chaos_baseline.sha256",
+        "federation chaos sweep")
 
     report.conclusion = (
         f"{len(seeds)} seeds survived; fingerprint "

@@ -635,10 +635,11 @@ class SharedModuleState(Rule):
     name = "no-shared-module-state"
     rationale = (
         "A module-level dict/list/set mutated from inside functions is "
-        "state the kernel cannot see: it outlives every Environment, "
-        "leaks between back-to-back runs in one process, and diverges "
-        "across the seed-farm's worker processes — three ways for 'same "
-        "inputs, same seeds' to stop meaning 'same outputs'. Hang the "
+        "state the kernel cannot see: it outlives every Environment and "
+        "leaks between back-to-back runs in one process (a seed sweep "
+        "runs them back to back), so a run's output depends on which "
+        "runs came before it — 'same inputs, same seeds' stops meaning "
+        "'same outputs'. Hang the "
         "state off an object the run owns (the environment, a service, "
         "a scenario), or pass it explicitly. Import-time population of "
         "registries is fine; it is post-import mutation that aliases "

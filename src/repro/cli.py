@@ -19,13 +19,10 @@ Operator-facing utilities over DGL documents and the simulated grid:
 * ``lint``      — run dgflint, the determinism-contract linter
   (:mod:`repro.analysis`), over a source tree and emit a text or JSON
   report;
-* ``farm``      — fan the seeded chaos sweep across all cores with the
-  :mod:`repro.farm` runner and print per-seed invariant results,
-  signatures, and sweep throughput;
-* ``federation`` — run the multi-zone federation chaos sweep
-  (:mod:`repro.federation.chaos`): cross-zone copies under zone outages
-  and bridge degradations, with per-seed survival invariants and the
-  sweep fingerprint.
+* ``chaos``     — run a seeded chaos sweep (``--scenario grid``: the CMS
+  workload on one datagrid; ``--scenario federation``: cross-zone copies
+  under zone outages and bridge degradations) and print per-seed
+  survival invariants, signatures and the sweep fingerprint.
 
 Exposed as the ``datagridflow`` and ``repro`` console scripts (see
 ``pyproject.toml``) and runnable as ``python -m repro.cli``.
@@ -407,65 +404,6 @@ def _cmd_sanitize(args) -> int:
     return report.exit_code
 
 
-def _cmd_farm(args) -> int:
-    import hashlib
-    import json
-    import time
-
-    from repro.farm import default_jobs, run_farm
-    from repro.workloads.chaos import run_chaos
-
-    seeds = _parse_seeds(args.seeds)
-    jobs = args.jobs if args.jobs else default_jobs()
-    # Wall clock, deliberately: the farm is host-side tooling reporting
-    # real sweep throughput; nothing below feeds back into any simulation.
-    started = time.perf_counter()  # dgf: noqa[DGF001]: farm orchestration is host-side, not sim code — this measures real seeds/sec and never touches a kernel clock
-    reports = run_farm(run_chaos, seeds, jobs=jobs)
-    elapsed = time.perf_counter() - started  # dgf: noqa[DGF001]: same wall-clock throughput measurement as above
-
-    rows = []
-    failures = 0
-    for report in reports:
-        digest = hashlib.sha256(
-            repr(report.signature).encode()).hexdigest()[:12]
-        if not report.ok:
-            failures += 1
-        rows.append((report.seed, f"{report.makespan:.2f}",
-                     report.faults_begun, report.restarts,
-                     sum(report.recovery_actions.values()),
-                     "ok" if report.ok else "VIOLATED", digest))
-    header = ("seed", "makespan_s", "faults", "restarts", "actions",
-              "invariants", "signature")
-    widths = [max(len(str(header[i])), *(len(str(row[i])) for row in rows))
-              for i in range(len(header))] if rows else [len(h) for h in header]
-    print("  ".join(str(h).ljust(w) for h, w in zip(header, widths)))
-    for row in rows:
-        print("  ".join(str(cell).ljust(w) for cell, w in zip(row, widths)))
-    rate = len(seeds) / elapsed if elapsed else float("inf")
-    print(f"{len(seeds)} seeds on {jobs} worker(s) in {elapsed:.2f} s "
-          f"({rate:.2f} seeds/s); {failures} invariant failure(s)")
-    for report in reports:
-        for violation in report.violations:
-            print(f"  seed {report.seed}: {violation}", file=sys.stderr)
-    if args.json is not None:
-        payload = {
-            "seeds": seeds, "jobs": jobs, "elapsed_s": round(elapsed, 3),
-            "seeds_per_s": round(rate, 3),
-            "reports": [{
-                "seed": report.seed, "ok": report.ok,
-                "makespan_s": report.makespan,
-                "faults_begun": report.faults_begun,
-                "restarts": report.restarts,
-                "recovery_actions": report.recovery_actions,
-                "signature_sha256": hashlib.sha256(
-                    repr(report.signature).encode()).hexdigest(),
-                "violations": report.violations,
-            } for report in reports],
-        }
-        _write(args.json, json.dumps(payload, indent=2))
-    return 1 if failures else 0
-
-
 def _cmd_gateway(args) -> int:
     import json
 
@@ -479,7 +417,7 @@ def _cmd_gateway(args) -> int:
     points = run_saturation_curve(
         rates, seed=args.seed, horizon_s=args.horizon,
         workers=args.workers, queue_limit=args.queue_limit,
-        cache=not args.no_cache, jobs=args.jobs)
+        cache=not args.no_cache)
     header = ("offered/s", "goodput/s", "p50_soj_s", "p99_soj_s",
               "shed", "peak_q", "cache_hit")
     rows = [(f"{p['offered_rate']:.2f}", f"{p['goodput_rate']:.3f}",
@@ -502,66 +440,91 @@ def _cmd_gateway(args) -> int:
     return 0
 
 
-def _cmd_federation(args) -> int:
+def _chaos_scenario(args):
+    """(run, default seeds, run params, extra table columns) for
+    ``repro chaos --scenario``."""
+    if args.scenario == "grid":
+        if args.zones is not None or args.policy is not None:
+            raise ReproError("--zones and --policy apply to "
+                             "--scenario federation only")
+        from repro.workloads.chaos import default_chaos_seeds, run_chaos
+
+        return run_chaos, default_chaos_seeds, {}, (
+            ("restarts", lambda r: r.restarts),
+            ("actions", lambda r: sum(r.recovery_actions.values())))
+    from repro.federation.chaos import (
+        default_federation_seeds,
+        run_federation_chaos,
+    )
+
+    given = (("n_zones", args.zones), ("placement_policy", args.policy))
+    params = {name: value for name, value in given if value is not None}
+    return run_federation_chaos, default_federation_seeds, params, (
+        ("copies", lambda r: f"{r.copies_completed}/{r.copies_attempted}"),
+        ("stale", lambda r: r.stale_misses),
+        ("wrong", lambda r: r.wrong_answers))
+
+
+def _cmd_chaos(args) -> int:
+    import dataclasses
     import hashlib
     import json
 
-    from repro.federation import run_federation_sweep, sweep_fingerprint
+    from repro.workloads.chaos import run_sweep, sweep_fingerprint
 
-    seeds = _parse_seeds(args.seeds)
-    reports = run_federation_sweep(
-        seeds=seeds, jobs=args.jobs or None,
-        faults=not args.no_faults, recovery=not args.no_recovery,
-        n_zones=args.zones, placement_policy=args.policy)
-    rows = []
-    failures = 0
-    for report in reports:
-        digest = hashlib.sha256(
-            repr(report.signature).encode()).hexdigest()[:12]
-        if not report.ok:
-            failures += 1
-        rows.append((report.seed, f"{report.makespan:.2f}",
-                     f"{report.copies_completed}/{report.copies_attempted}",
-                     report.faults_begun, report.stale_misses,
-                     report.wrong_answers,
-                     "ok" if report.ok else "VIOLATED", digest))
-    header = ("seed", "makespan_s", "copies", "faults", "stale", "wrong",
-              "invariants", "signature")
-    widths = [max(len(str(header[i])), *(len(str(row[i])) for row in rows))
-              for i in range(len(header))] if rows else [len(h)
-                                                         for h in header]
-    print("  ".join(str(h).ljust(w) for h, w in zip(header, widths)))
-    for row in rows:
+    run, default_seeds, params, columns = _chaos_scenario(args)
+    seeds = _parse_seeds(args.seeds) if args.seeds else default_seeds()
+    reports = run_sweep(run, seeds, faults=not args.no_faults,
+                        recovery=not args.no_recovery, **params)
+    fingerprint = sweep_fingerprint(reports)
+    digests = [hashlib.sha256(repr(report.signature).encode()).hexdigest()
+               for report in reports]
+    failures = sum(1 for report in reports if not report.ok)
+    header = ("seed", "makespan_s", "faults",
+              *(name for name, _ in columns), "invariants", "signature")
+    rows = [(report.seed, f"{report.makespan:.2f}", report.faults_begun,
+             *(cell(report) for _, cell in columns),
+             "ok" if report.ok else "VIOLATED", digest[:12])
+            for report, digest in zip(reports, digests)]
+    widths = [max(len(str(cell)) for cell in column)
+              for column in zip(header, *rows)]
+    for row in (header, *rows):
         print("  ".join(str(cell).ljust(w) for cell, w in zip(row, widths)))
-    print(f"{len(seeds)} seed(s), {args.zones} zones, "
-          f"policy {args.policy}; {failures} invariant failure(s); "
-          f"fingerprint {sweep_fingerprint(reports)[:12]}")
+    print(f"{len(seeds)} {args.scenario} seed(s); {failures} invariant "
+          f"failure(s); fingerprint {fingerprint[:12]}")
     for report in reports:
         for violation in report.violations:
             print(f"  seed {report.seed}: {violation}", file=sys.stderr)
     if args.json is not None:
+        omit = ("signature", "canonical", "sanitizer", "observe")
         _write(args.json, json.dumps({
-            "seeds": seeds, "zones": args.zones, "policy": args.policy,
+            "scenario": args.scenario, "seeds": seeds,
             "faults": not args.no_faults, "recovery": not args.no_recovery,
-            "fingerprint_sha256": sweep_fingerprint(reports),
+            **params, "fingerprint_sha256": fingerprint,
             "reports": [{
-                "seed": report.seed, "ok": report.ok,
-                "makespan_s": report.makespan,
-                "copies_attempted": report.copies_attempted,
-                "copies_completed": report.copies_completed,
-                "copies_failed": report.copies_failed,
-                "faults_begun": report.faults_begun,
-                "stale_misses": report.stale_misses,
-                "wrong_answers": report.wrong_answers,
-                "rls": report.rls_stats,
-                "recovery_actions": report.recovery_actions,
-                "violations": report.violations,
-            } for report in reports],
+                **{key: value
+                   for key, value in dataclasses.asdict(report).items()
+                   if key not in omit},
+                "ok": report.ok, "signature_sha256": digest,
+            } for report, digest in zip(reports, digests)],
         }, indent=2))
     return 1 if failures else 0
 
 
 # -- entry point ------------------------------------------------------------
+
+
+def _at_least(low: int):
+    """An argparse ``type`` accepting integers ``>= low``, so bad sizes
+    exit 2 with a usage error instead of failing deep inside a run."""
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, "
+                                             f"got {value}")
+        return value
+    parse.__name__ = f"integer >= {low}"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -686,18 +649,31 @@ def build_parser() -> argparse.ArgumentParser:
                           help="write the report here instead of stdout")
     sanitize.set_defaults(handler=_cmd_sanitize)
 
-    farm = commands.add_parser(
-        "farm",
-        help="fan the seeded chaos sweep across cores (repro.farm)")
-    farm.add_argument("--seeds", default="20",
-                      help="a count ('20' = seeds 0..19) or an explicit "
-                           "comma-separated seed list (default: 20)")
-    farm.add_argument("--jobs", type=int, default=0,
-                      help="worker processes (default: all usable cores; "
-                           "1 = run serially in-process)")
-    farm.add_argument("--json", default=None,
-                      help="also write a JSON report here ('-' = stdout)")
-    farm.set_defaults(handler=_cmd_farm)
+    chaos = commands.add_parser(
+        "chaos",
+        help="run a seeded chaos sweep and print per-seed survival")
+    chaos.add_argument("--scenario", choices=("grid", "federation"),
+                       default="grid",
+                       help="grid: the CMS workload on one datagrid; "
+                            "federation: cross-zone copies under zone "
+                            "faults (default: grid)")
+    chaos.add_argument("--seeds", default=None,
+                       help="a count ('20' = seeds 0..19) or an explicit "
+                            "comma-separated seed list (default: the "
+                            "scenario's pinned sweep)")
+    chaos.add_argument("--zones", type=_at_least(2), default=None,
+                       help="federated zones per run (federation only; "
+                            "default: 3)")
+    chaos.add_argument("--policy", default=None,
+                       help="cross-zone placement policy (federation "
+                            "only; default: bridge-cost-aware)")
+    chaos.add_argument("--no-faults", action="store_true",
+                       help="run the workload without a fault schedule")
+    chaos.add_argument("--no-recovery", action="store_true",
+                       help="run without recovery services")
+    chaos.add_argument("--json", default=None,
+                       help="also write a JSON report here ('-' = stdout)")
+    chaos.set_defaults(handler=_cmd_chaos)
 
     gateway = commands.add_parser(
         "gateway",
@@ -709,42 +685,15 @@ def build_parser() -> argparse.ArgumentParser:
                          help="traffic/scenario seed (default: 0)")
     gateway.add_argument("--horizon", type=float, default=60.0,
                          help="sim seconds of offered traffic (default: 60)")
-    gateway.add_argument("--workers", type=int, default=4,
+    gateway.add_argument("--workers", type=_at_least(1), default=4,
                          help="gateway worker processes (default: 4)")
-    gateway.add_argument("--queue-limit", type=int, default=32,
+    gateway.add_argument("--queue-limit", type=_at_least(1), default=32,
                          help="bounded queue size (default: 32)")
     gateway.add_argument("--no-cache", action="store_true",
                          help="run without the DGMS cache tier")
-    gateway.add_argument("--jobs", type=int, default=None,
-                         help="worker processes for the sweep "
-                              "(default: all usable cores)")
     gateway.add_argument("--json", default=None,
                          help="also write the curve as JSON ('-' = stdout)")
     gateway.set_defaults(handler=_cmd_gateway)
-
-    federation = commands.add_parser(
-        "federation",
-        help="run the multi-zone chaos sweep and print per-seed survival")
-    federation.add_argument("--seeds", default="10",
-                            help="a count ('10' = seeds 0..9) or an "
-                                 "explicit comma-separated seed list "
-                                 "(default: 10)")
-    federation.add_argument("--jobs", type=int, default=0,
-                            help="worker processes (default: all usable "
-                                 "cores; 1 = run serially in-process)")
-    federation.add_argument("--zones", type=int, default=3,
-                            help="federated zones per run (default: 3)")
-    federation.add_argument("--policy", default="bridge-cost-aware",
-                            help="cross-zone placement policy (default: "
-                                 "bridge-cost-aware)")
-    federation.add_argument("--no-faults", action="store_true",
-                            help="run the workload without zone chaos")
-    federation.add_argument("--no-recovery", action="store_true",
-                            help="run without per-zone recovery services")
-    federation.add_argument("--json", default=None,
-                            help="also write a JSON report here "
-                                 "('-' = stdout)")
-    federation.set_defaults(handler=_cmd_federation)
 
     return parser
 

@@ -20,8 +20,8 @@ Correctness model — sim-time TTL plus precise invalidation:
 * Every entry carries ``expires_at`` in **virtual** time and is checked
   lazily on lookup. No kernel events are scheduled, no randomness is
   drawn, and the clock is never advanced, so an attached cache cannot
-  move a float: the chaos sweep's :func:`~repro.workloads.chaos.
-  run_signature` stays bit-identical (gated by
+  move a float: the chaos sweep's :meth:`~repro.workloads.chaos.
+  GridChaos.run_signature` stays bit-identical (gated by
   ``benchmarks/test_e24_gateway.py``).
 * Query entries are evicted through the :class:`~repro.grid.catalog.
   GridCatalog` change feed (``register`` / ``deregister`` / ``metadata``

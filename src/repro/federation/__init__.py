@@ -18,7 +18,7 @@ data. This package is that layer:
 * :mod:`repro.federation.chaos` — zone-scoped fault schedules
   (:class:`~repro.faults.model.ZoneOutage`,
   :class:`~repro.faults.model.BridgeDegradation`) and the federation
-  survival invariants.
+  scenario of the one chaos harness (:mod:`repro.workloads.chaos`).
 
 The core :class:`~repro.grid.federation.Federation` (zones, bridges,
 cross-zone copy) stays in :mod:`repro.grid` so the grid layer never
@@ -31,10 +31,8 @@ from repro.federation.chaos import (
     attach_federation_faults,
     default_federation_seeds,
     federation_fault_schedule,
-    federation_run_signature,
     run_federation_chaos,
     run_federation_sweep,
-    sweep_fingerprint,
 )
 from repro.federation.namespace import FederatedNamespace
 from repro.federation.placement import (
@@ -81,7 +79,6 @@ __all__ = [
     "cross_zone_copy_by_guid",
     "default_federation_seeds",
     "federation_fault_schedule",
-    "federation_run_signature",
     "federation_scenario",
     "rank_source_zones",
     "run_federation_chaos",
@@ -89,6 +86,5 @@ __all__ = [
     "select_source_zone",
     "shard_of",
     "spread_zones",
-    "sweep_fingerprint",
     "zone_name",
 ]

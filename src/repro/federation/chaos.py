@@ -11,20 +11,19 @@ composes each zone's refcounted :class:`~repro.faults.model.FaultDriver`
 mechanics, so zone faults and any intra-zone schedule stack and release
 correctly.
 
-:func:`run_federation_chaos` then drives a cross-zone copy workload plus
-a continuous locate audit under such a schedule and checks the
-federation's survival invariants:
+:class:`FederationChaos` is the zone-scoped scenario of the one chaos
+run skeleton (:func:`repro.workloads.chaos.run_scenario`):
+:func:`run_federation_chaos` drives a cross-zone copy workload plus a
+continuous locate audit under such a schedule. On top of the shared
+invariants (no lost replicas in any zone, every fault window and
+recovery action accounted in telemetry) it checks:
 
-* **no lost replicas federation-wide** — every object in every zone
-  keeps at least one good replica whose allocation really exists;
 * **stale but never wrong** — the RLS may *miss* a fresh replica (the
   audit counts those; they are bounded by the sync period) but every
   location it *returns* must be vouched for by the owning zone's
   authoritative catalog at answer time;
 * **terminal copies** — every cross-zone copy either completed (and the
   object is really there) or failed terminally; none hang;
-* **accounted faults** — every zone fault window begins, ends, and
-  leaves a telemetry pair;
 * **post-flush convergence** — once every digest syncer flushes, the
   RLS locates every surviving object in every zone that holds it.
 
@@ -33,7 +32,6 @@ Everything is seeded; a violating schedule replays from its seed.
 
 from __future__ import annotations
 
-import hashlib
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -49,24 +47,31 @@ from repro.faults.model import (
 )
 from repro.faults.recovery import attach_recovery
 from repro.federation.placement import cross_zone_copy_by_guid
-from repro.federation.scenario import FederationScenario, federation_scenario
+from repro.federation.scenario import federation_scenario
 from repro.sim.rng import RandomStreams
 from repro.storage import MB
 from repro.telemetry.instrument import attach_telemetry
-from repro.workloads.chaos import CHAOS_POLICY, _coerce_sanitizer
+from repro.workloads.chaos import (
+    CHAOS_POLICY,
+    ChaosScenario,
+    ScenarioReport,
+    placement_signature,
+    prove_run_order_independence,
+    run_scenario,
+    run_sweep,
+    transfer_signature,
+)
 
 __all__ = [
+    "FederationChaos",
     "FederationChaosReport",
     "FederationFaultDriver",
     "attach_federation_faults",
     "default_federation_seeds",
     "federation_fault_schedule",
-    "federation_run_signature",
-    "federation_canonical_signature",
     "prove_federation_order_independence",
     "run_federation_chaos",
     "run_federation_sweep",
-    "sweep_fingerprint",
 ]
 
 #: Stream :func:`federation_fault_schedule` draws from.
@@ -253,22 +258,16 @@ def attach_federation_faults(federation, schedule: FaultSchedule,
 
 
 # --------------------------------------------------------------------------
-# The chaos run
+# The chaos scenario
 # --------------------------------------------------------------------------
 
 
 @dataclass
-class FederationChaosReport:
-    """Outcome of one federation chaos run (plain fields; pickles across
-    :func:`repro.farm.run_farm` workers)."""
+class FederationChaosReport(ScenarioReport):
+    """Outcome of one federation chaos run (:func:`run_federation_chaos`);
+    ``recovery_actions`` maps zone → action counts by kind."""
 
-    seed: int
-    n_zones: int
-    faults: bool
-    recovery: bool
-    makespan: float
-    faults_begun: int = 0
-    faults_ended: int = 0
+    n_zones: int = 0
     copies_attempted: int = 0
     copies_completed: int = 0
     copies_failed: int = 0
@@ -281,394 +280,278 @@ class FederationChaosReport:
     #: catalog disavows — must be zero (the "never wrong" half).
     wrong_answers: int = 0
     rls_stats: Dict[str, object] = field(default_factory=dict)
-    #: Zone → recovery action counts by kind.
-    recovery_actions: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    violations: List[str] = field(default_factory=list)
-    #: Bit-identity fingerprint (see :func:`federation_run_signature`).
-    signature: Tuple = ()
-    #: Schedule-sanitizer summary (only with ``sanitize=...``): plain
-    #: :meth:`~repro.analysis.sanitizer.ScheduleSanitizer.to_dict`.
-    sanitizer: Optional[Dict] = None
-    #: Order-insensitive fingerprint (see
-    #: :func:`federation_canonical_signature`); sanitized runs only.
-    canonical: Tuple = ()
-
-    @property
-    def ok(self) -> bool:
-        """True when every federation invariant held."""
-        return not self.violations
 
 
-def federation_run_signature(scenario: FederationScenario) -> Tuple:
-    """A fingerprint that is bit-identical iff two runs behaved the same.
+@dataclass
+class FederationChaos(ChaosScenario):
+    """Cross-zone copies and a rolling locate audit across a seeded
+    federation, under a zone-scoped fault schedule."""
 
-    Covers the clock, every zone's completed transfer timings and byte
-    totals, the federation copy counters, and the RLS lookup counters —
-    any drift in copy routing, fault timing, sync timing, or placement
-    shows up here.
-    """
-    zones = tuple(
-        (name,
-         scenario.zones[name].transfers.total_bytes_moved,
-         tuple((s.src, s.dst, s.nbytes, s.start_time, s.end_time)
-               for s in scenario.zones[name].transfers.completed))
-        for name in sorted(scenario.zones))
-    rls = scenario.rls
-    return (
-        scenario.env.now,
-        zones,
-        scenario.federation.copies_completed,
-        scenario.federation.copies_failed,
-        (rls.lookups, rls.hits, rls.misses, rls.false_positives,
-         rls.lrc_queries),
-    )
+    n_zones: int = 3
+    domains_per_zone: int = 2
+    objects_per_zone: int = 3
+    object_size: float = 8 * MB
+    horizon: float = 60.0
+    n_fault_events: int = 5
+    sync_period_s: float = 4.0
+    placement_policy: str = "bridge-cost-aware"
 
+    faults_first = False
+    report_type = FederationChaosReport
 
-def federation_canonical_signature(scenario: FederationScenario) -> Tuple:
-    """Terminal-outcome fingerprint: what order-independence *means*.
+    def build(self, seed: int) -> None:
+        self.scenario = federation_scenario(
+            n_zones=self.n_zones, domains_per_zone=self.domains_per_zone,
+            objects_per_zone=self.objects_per_zone,
+            object_size=self.object_size, seed=seed,
+            sync_period_s=self.sync_period_s)
+        self.env = self.scenario.env
+        self.streams = self.scenario.streams
+        self.zones = sorted(self.scenario.zones)
+        self.grids = [(name, self.scenario.zones[name])
+                      for name in self.zones]
+        attach_telemetry(self.env)
+        self.services: Dict[str, object] = {}
 
-    Permutation proofs diff this, not :func:`federation_run_signature`
-    (which stays the exact replay pin). Covered: the makespan, every
-    zone's full replica placement (path → sorted physical homes), the
-    federation copy outcome counters, and the RLS lookup count.
-    Deliberately *not* covered: exact per-transfer float timings, byte
-    totals, and RLS hit/miss splits — retry jitter is drawn from
-    shared recovery substreams in arrival order (see
-    :func:`repro.workloads.chaos.canonical_signature` for the full
-    rationale), and a digest flush landing on an audit probe's
-    timestamp may legitimately be observed in either order (the
-    invariant is "stale but never wrong", checked separately).
-    """
-    zones = tuple(
-        (name,
-         tuple(sorted(
-             (obj.path,
-              tuple(sorted(replica.physical_name
-                           for replica in obj.good_replicas())))
-             for obj in scenario.zones[name].namespace.iter_objects("/"))))
-        for name in sorted(scenario.zones))
-    return (
-        scenario.env.now,
-        zones,
-        scenario.federation.copies_completed,
-        scenario.federation.copies_failed,
-        scenario.rls.lookups,
-    )
+    def track(self, sanitizer) -> None:
+        for name, dgms in self.grids:
+            sanitizer.track_object(f"{name}.transfers", dgms.transfers)
+            sanitizer.track_object(f"{name}.namespace", dgms.namespace)
+        sanitizer.track_object("rls", self.scenario.rls)
+        sanitizer.track_object("federation", self.scenario.federation)
 
+    def attach_recovery(self) -> List:
+        for zone, dgms in self.grids:
+            self.services[zone] = attach_recovery(
+                dgms, self.streams.spawn(f"recovery/{zone}"),
+                policy=CHAOS_POLICY)
+        return list(self.services.values())
 
-def sweep_fingerprint(reports: Sequence[FederationChaosReport]) -> str:
-    """One hex digest over a whole sweep's signatures (the E25 pin)."""
-    blob = "\n".join(repr(report.signature) for report in reports)
-    return hashlib.sha256(blob.encode()).hexdigest()
+    def attach_faults(self, schedule):
+        federation = self.scenario.federation
+        if schedule is None:
+            schedule = federation_fault_schedule(
+                self.streams, federation, self.horizon,
+                n_events=self.n_fault_events)
+        return attach_federation_faults(federation, schedule, self.streams)
 
+    def workload(self) -> None:
+        scenario = self.scenario
+        env = self.env
+        horizon = self.horizon
+        federation = scenario.federation
+        zone_names = self.zones
+        n_zones = len(zone_names)
+        rng = self.streams.stream(WORKLOAD_STREAM)
+        self.copies: List[Dict] = []
+        self.audits = audits = {"checks": 0, "stale_misses": 0, "wrong": 0}
 
-def _run_workload(scenario: FederationScenario, horizon: float,
-                  placement_policy: str) -> Tuple[List[Dict], Dict]:
-    """Cross-zone copies with staggered starts plus a rolling locate
-    audit; returns (copy records, audit counters) once all complete."""
-    env = scenario.env
-    federation = scenario.federation
-    zone_names = sorted(scenario.zones)
-    n_zones = len(zone_names)
-    rng = scenario.streams.stream(WORKLOAD_STREAM)
-    copies: List[Dict] = []
-    audits = {"checks": 0, "stale_misses": 0, "wrong": 0}
+        jobs = []
+        targets: List[Tuple[str, str]] = []   # (origin zone, guid)
+        for zone_index, name in enumerate(zone_names):
+            dgms = scenario.zones[name]
+            for object_index, path in enumerate(scenario.paths[name]):
+                guid = dgms.namespace.resolve_object(path).guid
+                targets.append((name, guid))
+                offset = 1 + (object_index % (n_zones - 1))
+                dst = zone_names[(zone_index + offset) % n_zones]
+                start = rng.uniform(0.0, 0.5 * horizon)
+                jobs.append({
+                    "start": start, "guid": guid, "src": name, "dst": dst,
+                    "dst_path": f"/data/from-{name}-obj-"
+                                f"{object_index:04d}.dat",
+                    "dst_resource": f"{dst}-d0-disk",
+                })
 
-    jobs = []
-    targets: List[Tuple[str, str]] = []   # (origin zone, guid) per object
-    for zone_index, name in enumerate(zone_names):
-        dgms = scenario.zones[name]
-        for object_index, path in enumerate(scenario.paths[name]):
-            guid = dgms.namespace.resolve_object(path).guid
-            targets.append((name, guid))
-            offset = 1 + (object_index % (n_zones - 1))
-            dst = zone_names[(zone_index + offset) % n_zones]
-            start = rng.uniform(0.0, 0.5 * horizon)
-            jobs.append({
-                "start": start, "guid": guid, "src": name, "dst": dst,
-                "dst_path": f"/data/from-{name}-obj-{object_index:04d}.dat",
-                "dst_resource": f"{dst}-d0-disk",
-            })
+        def _copy_job(job):
+            yield env.timeout(job["start"])
+            record = {"guid": job["guid"], "src": job["src"],
+                      "dst": job["dst"], "dst_path": job["dst_path"],
+                      "outcome": "", "error": ""}
+            self.copies.append(record)
+            user = scenario.admins[job["dst"]]
+            try:
+                yield cross_zone_copy_by_guid(
+                    federation, user, job["guid"], job["dst"],
+                    job["dst_path"], job["dst_resource"],
+                    policy=self.placement_policy)
+            except Exception as exc:   # terminal failure is valid
+                record["outcome"] = "failed"
+                record["error"] = type(exc).__name__
+            else:
+                record["outcome"] = "completed"
 
-    def _copy_job(job):
-        yield env.timeout(job["start"])
-        record = {"guid": job["guid"], "src": job["src"],
-                  "dst": job["dst"], "dst_path": job["dst_path"],
-                  "outcome": "", "error": ""}
-        copies.append(record)
-        user = scenario.admins[job["dst"]]
-        try:
-            yield cross_zone_copy_by_guid(
-                federation, user, job["guid"], job["dst"],
-                job["dst_path"], job["dst_resource"],
-                policy=placement_policy)
-        except Exception as exc:   # terminal failure is a valid outcome
-            record["outcome"] = "failed"
-            record["error"] = type(exc).__name__
-        else:
-            record["outcome"] = "completed"
+        def _audit():
+            # Two passes over every object, spread across the horizon.
+            # Each probe verifies the RLS answer against the
+            # authoritative catalogs *at the same instant*, so "wrong"
+            # is exact.
+            probes = 2 * len(targets)
+            period = horizon / max(1, probes)
+            for probe_index in range(probes):
+                yield env.timeout(period)
+                origin, guid = targets[probe_index % len(targets)]
+                result = federation.locate(guid)
+                audits["checks"] += 1
+                for location in result.locations:
+                    namespace = scenario.zones[location.zone].namespace
+                    obj = namespace.lookup_guid(guid)
+                    held = obj is not None and any(
+                        replica.physical_name == location.physical_name
+                        for replica in obj.good_replicas())
+                    if not held:
+                        audits["wrong"] += 1
+                reported = {location.zone for location in result.locations}
+                actual = set()
+                for zone in zone_names:
+                    obj = scenario.zones[zone].namespace.lookup_guid(guid)
+                    if obj is not None and obj.good_replicas():
+                        actual.add(zone)
+                if actual - reported:
+                    audits["stale_misses"] += 1
 
-    def _audit():
-        # Two passes over every object, spread across the horizon. Each
-        # probe verifies the RLS answer against the authoritative
-        # catalogs *at the same instant*, so "wrong" is exact.
-        probes = 2 * len(targets)
-        period = horizon / max(1, probes)
-        for probe_index in range(probes):
-            yield env.timeout(period)
-            origin, guid = targets[probe_index % len(targets)]
-            result = federation.locate(guid)
-            audits["checks"] += 1
-            for location in result.locations:
-                obj = scenario.zones[location.zone].namespace.lookup_guid(
-                    guid)
-                held = obj is not None and any(
-                    replica.physical_name == location.physical_name
-                    for replica in obj.good_replicas())
-                if not held:
-                    audits["wrong"] += 1
-            reported = {location.zone for location in result.locations}
-            actual = set()
-            for zone in zone_names:
-                obj = scenario.zones[zone].namespace.lookup_guid(guid)
-                if obj is not None and obj.good_replicas():
-                    actual.add(zone)
-            if actual - reported:
-                audits["stale_misses"] += 1
+        def _driver():
+            processes = [env.process(_copy_job(job)) for job in jobs]
+            audit_process = env.process(_audit())
+            for process in processes:
+                yield process
+            yield audit_process
 
-    def _driver():
-        processes = [env.process(_copy_job(job)) for job in jobs]
-        audit_process = env.process(_audit())
-        for process in processes:
-            yield process
-        yield audit_process
+        env.run_process(_driver())
 
-    env.run_process(_driver())
-    return copies, audits
+    def drain(self) -> None:
+        """Also flush every syncer, so the convergence invariant sees
+        current digests."""
+        self.env.run()
+        self.scenario.rls.flush_all()
 
+    def report_fields(self) -> Dict:
+        federation = self.scenario.federation
+        return {
+            "n_zones": self.n_zones,
+            "copies_attempted": len(self.copies),
+            "copies_completed": federation.copies_completed,
+            "copies_failed": federation.copies_failed,
+            "locate_audits": self.audits["checks"],
+            "stale_misses": self.audits["stale_misses"],
+            "wrong_answers": self.audits["wrong"],
+            "rls_stats": self.scenario.rls.stats(),
+            "recovery_actions": {zone: dict(service.counts)
+                                 for zone, service in self.services.items()},
+        }
 
-def _check_federation_invariants(scenario: FederationScenario,
-                                 driver: Optional[FederationFaultDriver],
-                                 services: Dict[str, object],
-                                 copies: List[Dict],
-                                 audits: Dict) -> List[str]:
-    violations: List[str] = []
-    federation = scenario.federation
-    telemetry = scenario.env.telemetry
-
-    # No lost replicas, federation-wide: every zone's catalog and
-    # physical allocations agree.
-    for name in sorted(scenario.zones):
-        dgms = scenario.zones[name]
-        for obj in dgms.namespace.iter_objects("/"):
-            good = obj.good_replicas()
-            if not good:
-                violations.append(f"{name}:{obj.path}: no good replicas "
-                                  "left")
-            for replica in good:
-                physical = dgms.resources.physical(
-                    replica.physical_name).physical
-                if not physical.holds(replica.allocation_id):
-                    violations.append(
-                        f"{name}:{obj.path}: replica "
-                        f"{replica.allocation_id} missing from "
-                        f"{replica.physical_name}")
-
-    # Stale but never wrong: the audit may count misses (bounded
-    # staleness) but must never have caught an unvouched location.
-    if audits["wrong"]:
-        violations.append(
-            f"RLS returned {audits['wrong']} location answers the owning "
-            "zone disavowed")
-
-    # Terminal copies: every cross-zone copy completed or failed — and a
-    # completed copy's object really exists at the destination.
-    for record in copies:
-        label = f"copy {record['guid'][:8]}→{record['dst']}"
-        if record["outcome"] not in ("completed", "failed"):
-            violations.append(f"{label}: never reached a terminal outcome")
-            continue
-        if record["outcome"] != "completed":
-            continue
-        dst = scenario.zones[record["dst"]]
-        if not dst.namespace.exists(record["dst_path"]):
+    def invariants(self) -> List[str]:
+        violations: List[str] = []
+        scenario = self.scenario
+        # Stale but never wrong: the audit may count misses (bounded
+        # staleness) but must never have caught an unvouched location.
+        if self.audits["wrong"]:
             violations.append(
-                f"{label}: reported completed but {record['dst_path']} "
-                "does not exist")
-            continue
-        obj = dst.namespace.resolve_object(record["dst_path"])
-        if not obj.good_replicas():
-            violations.append(
-                f"{label}: completed but has no good replica")
-
-    # Accounted faults: every window opened, closed, and (with telemetry
-    # attached) left a begin/end record pair.
-    if driver is not None:
-        if driver.begun != len(driver.schedule):
-            violations.append(
-                f"{driver.begun}/{len(driver.schedule)} zone fault "
-                "windows began")
-        if driver.ended != driver.begun:
-            violations.append(
-                f"{driver.ended}/{driver.begun} zone fault windows ended")
-        if telemetry is not None:
-            begins = len(telemetry.log.of_kind("fault.begin"))
-            ends = len(telemetry.log.of_kind("fault.end"))
-            if begins != driver.begun or ends != driver.ended:
+                f"RLS returned {self.audits['wrong']} location answers "
+                "the owning zone disavowed")
+        # Terminal copies: every cross-zone copy completed or failed —
+        # and a completed copy's object really exists at the
+        # destination.
+        for record in self.copies:
+            label = f"copy {record['guid'][:8]}→{record['dst']}"
+            if record["outcome"] not in ("completed", "failed"):
                 violations.append(
-                    f"telemetry saw {begins} begins/{ends} ends for "
-                    f"{driver.begun}/{driver.ended} fault transitions")
-
-    # Recovery actions mirrored into telemetry (all zones share the log).
-    if services and telemetry is not None:
-        kinds = set()
-        for service in services.values():
-            kinds.update(service.counts)
-        logged = sum(len(telemetry.log.of_kind(f"recovery.{kind}"))
-                     for kind in kinds)
-        total = sum(service.total_actions for service in services.values())
-        if logged != total:
-            violations.append(
-                f"telemetry logged {logged} of {total} recovery actions")
-
-    # Post-flush convergence: with every digest published, the RLS must
-    # locate every surviving object in every zone that holds it.
-    for name in sorted(scenario.zones):
-        dgms = scenario.zones[name]
-        for obj in dgms.namespace.iter_objects("/"):
+                    f"{label}: never reached a terminal outcome")
+                continue
+            if record["outcome"] != "completed":
+                continue
+            dst = scenario.zones[record["dst"]]
+            if not dst.namespace.exists(record["dst_path"]):
+                violations.append(
+                    f"{label}: reported completed but "
+                    f"{record['dst_path']} does not exist")
+                continue
+            obj = dst.namespace.resolve_object(record["dst_path"])
             if not obj.good_replicas():
-                continue   # already flagged as lost above
-            result = federation.locate(obj.guid)
-            if name not in {loc.zone for loc in result.locations}:
                 violations.append(
-                    f"post-flush locate misses {name}:{obj.path}")
-    return violations
+                    f"{label}: completed but has no good replica")
+        # Post-flush convergence: with every digest published, the RLS
+        # must locate every surviving object in every zone holding it.
+        for name, dgms in self.grids:
+            for obj in dgms.namespace.iter_objects("/"):
+                if not obj.good_replicas():
+                    continue   # flagged as lost by the shared check
+                result = scenario.federation.locate(obj.guid)
+                if name not in {loc.zone for loc in result.locations}:
+                    violations.append(
+                        f"post-flush locate misses {name}:{obj.path}")
+        return violations
+
+    def run_signature(self) -> Tuple:
+        """Covers the clock, every zone's completed transfer timings and
+        byte totals, the federation copy counters, and the RLS lookup
+        counters — any drift in copy routing, fault timing, sync timing,
+        or placement shows up here."""
+        zones = self.scenario.zones
+        rls = self.scenario.rls
+        return (
+            self.env.now,
+            tuple((name, zones[name].transfers.total_bytes_moved,
+                   transfer_signature(zones[name]))
+                  for name in self.zones),
+            self.scenario.federation.copies_completed,
+            self.scenario.federation.copies_failed,
+            (rls.lookups, rls.hits, rls.misses, rls.false_positives,
+             rls.lrc_queries),
+        )
+
+    def canonical_signature(self) -> Tuple:
+        """Covers the makespan, every zone's full replica placement, the
+        federation copy outcome counters, and the RLS lookup count.
+
+        Deliberately *not* covered: exact per-transfer float timings,
+        byte totals, and RLS hit/miss splits — retry jitter is drawn
+        from shared recovery substreams in arrival order (see
+        :meth:`repro.workloads.chaos.GridChaos.canonical_signature`),
+        and a digest flush landing on an audit probe's timestamp may
+        legitimately be observed in either order (the invariant is
+        "stale but never wrong", checked separately).
+        """
+        return (
+            self.env.now,
+            tuple((name, placement_signature(self.scenario.zones[name]))
+                  for name in self.zones),
+            self.scenario.federation.copies_completed,
+            self.scenario.federation.copies_failed,
+            self.scenario.rls.lookups,
+        )
 
 
 def run_federation_chaos(seed: int, faults: bool = True,
-                         recovery: bool = True, n_zones: int = 3,
-                         domains_per_zone: int = 2,
-                         objects_per_zone: int = 3,
-                         object_size: float = 8 * MB,
-                         horizon: float = 60.0, n_fault_events: int = 5,
-                         sync_period_s: float = 4.0,
+                         recovery: bool = True,
                          schedule: Optional[FaultSchedule] = None,
-                         placement_policy: str = "bridge-cost-aware",
-                         sanitize=None) -> FederationChaosReport:
+                         sanitize=None, **params) -> FederationChaosReport:
     """One federation chaos run: cross-zone copies and a locate audit
     under a seeded zone-scoped fault schedule.
 
-    ``faults=False`` runs the identical workload with no schedule (the
-    bit-identity baseline); ``recovery=False`` leaves every zone
-    fail-fast. Pass ``schedule`` to replay a known schedule instead of
-    drawing one from the seed. ``sanitize`` attaches the schedule
-    sanitizer exactly as in :func:`repro.workloads.chaos.run_chaos` —
-    with permutation off the dispatch order (and therefore the pinned
-    :func:`federation_run_signature`) is untouched.
+    ``params`` configure :class:`FederationChaos` (``n_zones``,
+    ``domains_per_zone``, ``objects_per_zone``, ``object_size``,
+    ``horizon``, ``n_fault_events``, ``sync_period_s``,
+    ``placement_policy``); ``faults``, ``recovery``, ``schedule`` and
+    ``sanitize`` mean what they do in
+    :func:`repro.workloads.chaos.run_scenario`.
     """
-    scenario = federation_scenario(
-        n_zones=n_zones, domains_per_zone=domains_per_zone,
-        objects_per_zone=objects_per_zone, object_size=object_size,
-        seed=seed, sync_period_s=sync_period_s)
-    attach_telemetry(scenario.env)
-    sanitizer = _coerce_sanitizer(sanitize)
-    if sanitizer is not None:
-        sanitizer.attach(scenario.env)
-        # Before recovery/fault attachment: spawn() children (the
-        # per-zone recovery families) and later-pulled substreams
-        # (workload stagger, fault schedule) inherit draw tracking.
-        sanitizer.track_streams(scenario.streams)
-        for name in sorted(scenario.zones):
-            dgms = scenario.zones[name]
-            sanitizer.track_object(f"{name}.transfers", dgms.transfers)
-            sanitizer.track_object(f"{name}.namespace", dgms.namespace)
-        sanitizer.track_object("rls", scenario.rls)
-        sanitizer.track_object("federation", scenario.federation)
-    services: Dict[str, object] = {}
-    if recovery:
-        for zone in sorted(scenario.zones):
-            services[zone] = attach_recovery(
-                scenario.zones[zone],
-                scenario.streams.spawn(f"recovery/{zone}"),
-                policy=CHAOS_POLICY)
-    driver = None
-    if faults:
-        if schedule is None:
-            schedule = federation_fault_schedule(
-                scenario.streams, scenario.federation, horizon,
-                n_events=n_fault_events)
-        driver = attach_federation_faults(scenario.federation, schedule,
-                                          scenario.streams)
-    copies, audits = _run_workload(scenario, horizon, placement_policy)
-    makespan = scenario.env.now
-    # Drain fault windows still open past the workload's end, then flush
-    # every syncer so the convergence invariant sees current digests.
-    scenario.env.run()
-    scenario.rls.flush_all()
-    report = FederationChaosReport(
-        seed=seed, n_zones=n_zones, faults=faults, recovery=recovery,
-        makespan=makespan,
-        faults_begun=driver.begun if driver else 0,
-        faults_ended=driver.ended if driver else 0,
-        copies_attempted=len(copies),
-        copies_completed=scenario.federation.copies_completed,
-        copies_failed=scenario.federation.copies_failed,
-        locate_audits=audits["checks"],
-        stale_misses=audits["stale_misses"],
-        wrong_answers=audits["wrong"],
-        rls_stats=scenario.rls.stats(),
-        recovery_actions={
-            zone: dict(service.counts)
-            for zone, service in sorted(services.items())},
-        signature=federation_run_signature(scenario),
-    )
-    report.violations = _check_federation_invariants(
-        scenario, driver, services, copies, audits)
-    if sanitizer is not None:
-        sanitizer.detach()
-        report.sanitizer = sanitizer.to_dict()
-        # A permuted schedule that breaks a survival invariant must
-        # refute the proof even if the terminal placement matches.
-        report.canonical = (federation_canonical_signature(scenario)
-                            + (tuple(report.violations),))
-    return report
+    return run_scenario(FederationChaos(**params), seed, faults=faults,
+                        recovery=recovery, schedule=schedule,
+                        sanitize=sanitize)
 
 
-def prove_federation_order_independence(seed: int, *,
-                                        order: str = "reverse",
-                                        permute_seed: int = 0,
-                                        max_runs: int = 40, **kwargs):
-    """Prove (or refute with a minimized witness) that the federation
-    chaos run for ``seed`` is independent of legal same-timestamp
-    dispatch order — the zone-scoped counterpart of
-    :func:`repro.workloads.chaos.prove_chaos_order_independence`.
-    """
-    from repro.analysis.sanitizer import (
-        ScheduleSanitizer,
-        prove_order_independence,
-    )
-
-    def _run(config):
-        sanitizer = ScheduleSanitizer(config)
-        report = run_federation_chaos(seed, sanitize=sanitizer, **kwargs)
-        return report.canonical, sanitizer
-
-    return prove_order_independence(_run, order=order,
-                                    permute_seed=permute_seed,
-                                    max_runs=max_runs)
-
-
-def run_federation_sweep(seeds: Optional[List[int]] = None,
-                         jobs: Optional[int] = None,
+def run_federation_sweep(seeds: Optional[Sequence[int]] = None,
                          **kwargs) -> List[FederationChaosReport]:
-    """:func:`run_federation_chaos` for every seed, farmed across cores.
-
-    Each seed's run is fully determined by the seed and shares nothing
-    with other seeds; reports come back in seed order, byte-identical to
-    the serial loop (``jobs=1``).
-    """
-    from repro.farm import run_farm
-
+    """:func:`run_federation_chaos` for every seed (default
+    :func:`default_federation_seeds`), serially, in seed order."""
     if seeds is None:
         seeds = default_federation_seeds()
-    return run_farm(run_federation_chaos, seeds, jobs=jobs, kwargs=kwargs)
+    return run_sweep(run_federation_chaos, seeds, **kwargs)
+
+
+def prove_federation_order_independence(seed: int, **kwargs):
+    """:func:`~repro.workloads.chaos.prove_run_order_independence` over
+    :func:`run_federation_chaos`."""
+    return prove_run_order_independence(run_federation_chaos, seed,
+                                        **kwargs)

@@ -33,7 +33,6 @@ from repro.telemetry.events import EventLog, TelemetryRecord
 from repro.telemetry.exporters import (
     histogram_summaries,
     jsonl_lines,
-    merge_jsonl,
     prometheus_text,
     write_jsonl,
     write_prometheus,
@@ -67,7 +66,7 @@ __all__ = [
     "FlightRecorder", "FlightRecord",
     "SLOEngine", "Alert", "default_probes", "fault_coverage",
     "prometheus_text", "jsonl_lines", "write_prometheus", "write_jsonl",
-    "histogram_summaries", "merge_jsonl",
+    "histogram_summaries",
     "attach_telemetry", "instrument_scenario",
     "attach_observability", "Observability",
 ]

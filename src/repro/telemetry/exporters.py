@@ -16,14 +16,14 @@ Two renderings of one :class:`~repro.telemetry.core.Telemetry` session:
 from __future__ import annotations
 
 import json
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.telemetry.core import Telemetry
 from repro.telemetry.metrics import Histogram, MetricsRegistry
 from repro.telemetry.slo import quantile
 
 __all__ = ["prometheus_text", "jsonl_lines", "write_prometheus",
-           "write_jsonl", "histogram_summaries", "merge_jsonl"]
+           "write_jsonl", "histogram_summaries"]
 
 
 def _escape_label(value: str) -> str:
@@ -158,26 +158,6 @@ def histogram_summaries(telemetry: Telemetry,
                 "max": max(values),
             })
     return summaries
-
-
-def merge_jsonl(parts: Iterable[Tuple[str, Iterable[str]]]) -> List[str]:
-    """Deterministically merge per-worker JSONL exports into one stream.
-
-    ``parts`` is an ordered iterable of ``(run_tag, lines)`` — e.g. one
-    entry per seed of a :func:`repro.farm.run_farm` sweep. Each line
-    gains a ``"run"`` field naming its origin; part order and line order
-    are preserved, and re-dumping with sorted keys makes the output a
-    pure function of the inputs — merging the same parts in the same
-    order is byte-identical wherever it runs, so a farmed sweep's merged
-    telemetry equals the serial run's.
-    """
-    merged: List[str] = []
-    for tag, lines in parts:
-        for line in lines:
-            entry = json.loads(line)
-            entry["run"] = tag
-            merged.append(json.dumps(entry, sort_keys=True, default=str))
-    return merged
 
 
 def write_prometheus(telemetry: Telemetry, path: str) -> None:

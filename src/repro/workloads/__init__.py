@@ -5,9 +5,7 @@ from repro.workloads.chaos import (
     default_chaos_seeds,
     run_chaos,
     run_chaos_sweep,
-    run_federation_chaos,
-    run_federation_sweep,
-    run_signature,
+    sweep_fingerprint,
 )
 from repro.workloads.generators import (
     lognormal_sizes,
@@ -38,8 +36,7 @@ __all__ = [
     "sleep_bag_flow", "sleep_chain_flow", "random_task_graph",
     "Scenario", "bbsrc_scenario", "cms_scenario", "scec_scenario",
     "ucsd_library_scenario",
-    "ChaosReport", "run_chaos", "run_chaos_sweep", "run_signature",
-    "run_federation_chaos", "run_federation_sweep",
+    "ChaosReport", "run_chaos", "run_chaos_sweep", "sweep_fingerprint",
     "default_chaos_seeds",
     "TrafficGenerator", "TrafficProfile", "TrafficStats", "pareto_gaps",
     "run_saturation_point", "run_saturation_curve",

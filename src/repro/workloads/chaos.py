@@ -1,41 +1,39 @@
-"""Chaos harness: randomized fault schedules against standard scenarios.
+"""Chaos harness: seeded fault schedules against standard scenarios.
 
 The faults subsystem earns its keep only if recovery actually preserves
-the datagrid's guarantees under arbitrary (seeded) failure timing. This
-module runs the standard CMS exploding-star workload — concurrent staged
-replication flows, an ILM fan-out pass, and an audit read pass — under a
-:meth:`~repro.faults.model.FaultSchedule.random` schedule with the whole
-recovery stack attached (DGMS failover + transfer resume + flow
-supervision), then checks the survival invariants:
+the datagrid's guarantees under arbitrary (seeded) failure timing. Every
+chaos run goes through one serial skeleton, :func:`run_scenario`: build
+→ telemetry/sanitizer attach and tracking → recovery and fault
+attachment → workload → drain → report → invariants → canonical
+signature. A :class:`ChaosScenario` supplies only what differs. Two
+ship: :class:`GridChaos` (the CMS exploding-star workload — staged
+replication flows, an ILM fan-out pass and an audit read pass — on one
+datagrid) and :class:`repro.federation.chaos.FederationChaos`
+(cross-zone copies under zone outages and bridge degradations).
 
-* **no lost replicas** — every object keeps at least one good replica and
-  every good replica's allocation really exists on its physical resource;
-* **terminal executions** — every submitted execution reached a terminal
-  state (and, with recovery enabled, COMPLETED);
-* **complete provenance** — each execution's chain has its start, its
-  terminal record, and a completion record per journalled step;
-* **accounted faults** — every fault window begin/end pair and every
-  recovery action is visible in telemetry.
+Shared survival invariants: **no lost replicas** (every object keeps a
+good replica whose allocation really exists) and **accounted faults**
+(every fault window begin/end pair and every recovery action is visible
+in telemetry). The grid adds **terminal executions** (COMPLETED, with
+recovery on) and **complete provenance** (start, terminal record, and a
+completion record per journalled step).
 
 Everything is seeded, so a violating schedule is a reproducible test
-case: rerun :func:`run_chaos` with the reported seed.
+case: rerun with the reported seed. :func:`sweep_fingerprint` hashes a
+sweep into the pinned ``benchmarks/*.sha256`` values.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dgl.builder import flow_builder
 from repro.dgl.model import DataGridRequest, ExecutionState
-from repro.faults.model import FaultDriver, FaultSchedule, attach_faults
-from repro.faults.recovery import (
-    FlowSupervisor,
-    RecoveryService,
-    RetryPolicy,
-    attach_recovery,
-)
+from repro.faults.model import FaultSchedule, attach_faults
+from repro.faults.recovery import FlowSupervisor, RetryPolicy, attach_recovery
 from repro.ilm.engine import ILMManager
 from repro.ilm.policy import ILMPolicy, PlacementRule
 from repro.sim.rng import RandomStreams
@@ -44,13 +42,15 @@ from repro.telemetry.instrument import (
     attach_observability,
     instrument_scenario,
 )
-from repro.workloads.scenarios import Scenario, cms_scenario
+from repro.workloads.scenarios import cms_scenario
 
-__all__ = ["ChaosReport", "ObserveReport", "run_chaos", "run_chaos_sweep",
-           "run_federation_chaos", "run_federation_sweep",
-           "run_signature", "canonical_signature",
-           "prove_chaos_order_independence",
-           "CHAOS_POLICY", "default_chaos_seeds"]
+__all__ = ["ChaosReport", "ChaosScenario", "GridChaos", "ObserveReport",
+           "ScenarioReport", "CHAOS_POLICY", "default_chaos_seeds",
+           "lost_replicas", "placement_signature",
+           "prove_chaos_order_independence", "prove_run_order_independence",
+           "run_chaos", "run_chaos_sweep", "run_scenario", "run_sweep",
+           "sweep_fingerprint", "transfer_signature", "unaccounted_faults",
+           "unaccounted_recovery"]
 
 #: Generous budget: a chaos outage can hold a resource down for a fifth
 #: of the horizon, so retries must be able to outwait the longest window
@@ -68,13 +68,44 @@ def default_chaos_seeds(count: int = 20) -> List[int]:
     return list(range(int(os.environ.get("CHAOS_SEEDS", count))))
 
 
+# --------------------------------------------------------------------------
+# Reports
+# --------------------------------------------------------------------------
+
+
+@dataclass
+class ScenarioReport:
+    """What every chaos run reports, whatever its scenario."""
+
+    seed: int
+    faults: bool
+    recovery: bool
+    makespan: float
+    faults_begun: int = 0
+    faults_ended: int = 0
+    #: Recovery action counts by kind (per zone for a federation).
+    recovery_actions: Dict = field(default_factory=dict)
+    violations: List[str] = field(default_factory=list)
+    #: Bit-identity fingerprint of the run (the scenario's
+    #: :meth:`ChaosScenario.run_signature`).
+    signature: Tuple = ()
+    #: Schedule-sanitizer summary (only with ``sanitize=...``): plain
+    #: :meth:`~repro.analysis.sanitizer.ScheduleSanitizer.to_dict`.
+    sanitizer: Optional[Dict] = None
+    #: Order-insensitive fingerprint (the scenario's
+    #: :meth:`ChaosScenario.canonical_signature` plus the violations);
+    #: filled only for sanitized runs — permutation proofs diff this.
+    canonical: Tuple = ()
+
+    @property
+    def ok(self) -> bool:
+        """True when every invariant held."""
+        return not self.violations
+
+
 @dataclass
 class ObserveReport:
-    """What the observability stack saw during one chaos run.
-
-    Plain lists/dicts/strings throughout so a report still pickles
-    cleanly across :func:`repro.farm.run_farm` workers.
-    """
+    """What the observability stack saw during one chaos run."""
 
     #: Every SLO alert raised, as plain dicts (labels flattened).
     alerts: List[Dict] = field(default_factory=list)
@@ -92,403 +123,242 @@ class ObserveReport:
 
 
 @dataclass
-class ChaosReport:
-    """Outcome of one chaos run: metrics plus invariant violations."""
+class ChaosReport(ScenarioReport):
+    """Outcome of one single-grid chaos run (:func:`run_chaos`)."""
 
-    seed: int
-    faults: bool
-    recovery: bool
-    makespan: float
-    faults_begun: int = 0
-    faults_ended: int = 0
     interrupted_transfers: int = 0
     restarts: int = 0
-    recovery_actions: Dict[str, int] = field(default_factory=dict)
     executions: Dict[str, str] = field(default_factory=dict)
-    violations: List[str] = field(default_factory=list)
-    #: Bit-identity fingerprint of the run (see :func:`run_signature`).
-    signature: Tuple = ()
     #: Observability results (only when ``run_chaos(observe=True)``).
     observe: Optional[ObserveReport] = None
-    #: Schedule-sanitizer summary (only when ``run_chaos(sanitize=...)``):
-    #: plain :meth:`~repro.analysis.sanitizer.ScheduleSanitizer.to_dict`.
-    sanitizer: Optional[Dict] = None
-    #: Order-insensitive fingerprint (see :func:`canonical_signature`);
-    #: filled only for sanitized runs — permutation proofs diff this.
-    canonical: Tuple = ()
-
-    @property
-    def ok(self) -> bool:
-        """True when every invariant held."""
-        return not self.violations
 
 
-def run_signature(scenario: Scenario) -> Tuple:
-    """A fingerprint that is bit-identical iff two runs behaved the same.
+# --------------------------------------------------------------------------
+# The scenario protocol and the shared pieces
+# --------------------------------------------------------------------------
 
-    Covers the clock, every completed transfer's exact float timings, the
-    terminal state and finish time of every execution, and the provenance
-    record count — enough that any behavioural drift in the no-fault path
-    shows up as a signature mismatch.
+
+class ChaosScenario:
+    """What one chaos scenario supplies to :func:`run_scenario`.
+
+    One instance drives one run. :meth:`build` sets ``self.env``,
+    ``self.streams`` (the run's :class:`~repro.sim.rng.RandomStreams`,
+    which the sanitizer draw-tracks) and ``self.grids`` (the
+    ``(label, dgms)`` pairs the no-lost-replicas check walks).
     """
-    transfers = scenario.dgms.transfers
-    return (
-        scenario.env.now,
-        tuple((s.src, s.dst, s.nbytes, s.start_time, s.end_time)
-              for s in transfers.completed),
-        transfers.total_bytes_moved,
-        tuple(sorted((e.request_id, e.state.value, e.finished_at)
-                     for e in scenario.server.executions())),
-        len(scenario.provenance.records()),
-    )
+
+    #: Faults armed before recovery (the grid) or after (the
+    #: federation). Attach order is part of the pinned fingerprint.
+    faults_first = True
+    #: The :class:`ScenarioReport` subclass the run fills.
+    report_type = ScenarioReport
+
+    def build(self, seed: int) -> None:
+        """Build the deployment for ``seed``, telemetry attached."""
+
+    def track(self, sanitizer) -> None:
+        """Register the shared state the schedule sanitizer watches."""
+
+    def attach_faults(self, schedule: Optional[FaultSchedule]):
+        """Arm ``schedule`` (drawn from the seed when ``None``); return
+        the driver."""
+
+    def attach_recovery(self) -> List:
+        """Attach recovery; return the services to account."""
+
+    def workload(self) -> None:
+        """Run the workload until every operation is terminal."""
+
+    def drain(self) -> None:
+        """Run on until every open fault window has closed."""
+        self.env.run()
+
+    def report_fields(self) -> Dict:
+        """The scenario's own report fields (``recovery_actions`` too)."""
+        return {}
+
+    def invariants(self) -> List[str]:
+        """Violations of the scenario's own survival invariants."""
+        return []
+
+    def run_signature(self) -> Tuple:
+        """Bit-identical iff two runs behaved the same (the replay pin)."""
+
+    def canonical_signature(self) -> Tuple:
+        """Terminal outcome only: what order-independence *means*."""
 
 
-def canonical_signature(scenario: Scenario) -> Tuple:
-    """Terminal-outcome fingerprint: what order-independence *means*.
 
-    Permutation proofs diff this, not :func:`run_signature` (which
-    stays the exact replay pin). Covered: the makespan, the full
-    replica placement of every object (path → sorted physical homes),
-    and every execution's terminal state. Deliberately *not* covered:
-    exact per-transfer float timings, byte totals, and provenance
-    record counts — recovery retries draw backoff jitter from
-    substreams *shared* across consumers (``recovery/backoff``,
-    ``recovery/supervisor``), so two same-timestamp retries swap their
-    jitter values under reordering and attempt counts drift. That
-    draw-order sensitivity is pinned, shipped behaviour (the replay
-    contract fixes the order); DGF007 exists to keep new code from
-    adding more of it. What this signature proves is the paper-level
-    guarantee: under *every* legal same-timestamp schedule, the grid
-    converges to the same terminal state in the same sim time with all
-    survival invariants intact.
-    """
-    dgms = scenario.dgms
-    placement = tuple(sorted(
+def transfer_signature(dgms) -> Tuple:
+    """Every completed transfer's endpoints, size and exact timings."""
+    return tuple((s.src, s.dst, s.nbytes, s.start_time, s.end_time)
+                 for s in dgms.transfers.completed)
+
+
+def placement_signature(dgms) -> Tuple:
+    """Full replica placement: path → sorted physical homes."""
+    return tuple(sorted(
         (obj.path,
          tuple(sorted(replica.physical_name
                       for replica in obj.good_replicas())))
         for obj in dgms.namespace.iter_objects("/")))
-    return (
-        scenario.env.now,
-        placement,
-        tuple(sorted((e.request_id, e.state.value)
-                     for e in scenario.server.executions())),
-    )
+
+
+def lost_replicas(grids: Sequence[Tuple[str, object]]) -> List[str]:
+    """No lost replicas: each catalog and its physical allocations agree.
+
+    ``grids`` holds ``(label, dgms)`` pairs; a non-empty label prefixes
+    each object path (``zone:/path``).
+    """
+    violations: List[str] = []
+    for label, dgms in grids:
+        prefix = f"{label}:" if label else ""
+        for obj in dgms.namespace.iter_objects("/"):
+            good = obj.good_replicas()
+            if not good:
+                violations.append(f"{prefix}{obj.path}: no good replicas "
+                                  "left")
+            for replica in good:
+                physical = dgms.resources.physical(
+                    replica.physical_name).physical
+                if not physical.holds(replica.allocation_id):
+                    violations.append(
+                        f"{prefix}{obj.path}: replica "
+                        f"{replica.allocation_id} missing from "
+                        f"{replica.physical_name}")
+    return violations
+
+
+def unaccounted_faults(driver, telemetry) -> List[str]:
+    """Every fault window opened, closed, and left a telemetry pair."""
+    if driver is None:
+        return []
+    violations: List[str] = []
+    if driver.begun != len(driver.schedule):
+        violations.append(
+            f"{driver.begun}/{len(driver.schedule)} fault windows began")
+    if driver.ended != driver.begun:
+        violations.append(
+            f"{driver.ended}/{driver.begun} fault windows ended")
+    if telemetry is not None:
+        begins = len(telemetry.log.of_kind("fault.begin"))
+        ends = len(telemetry.log.of_kind("fault.end"))
+        if begins != driver.begun or ends != driver.ended:
+            violations.append(
+                f"telemetry saw {begins} begins/{ends} ends for "
+                f"{driver.begun}/{driver.ended} fault transitions")
+    return violations
+
+
+def unaccounted_recovery(services: Sequence, telemetry) -> List[str]:
+    """Every recovery action was mirrored into the (shared) telemetry
+    log."""
+    if not services or telemetry is None:
+        return []
+    kinds = {kind for service in services for kind in service.counts}
+    logged = sum(len(telemetry.log.of_kind(f"recovery.{kind}"))
+                 for kind in kinds)
+    total = sum(service.total_actions for service in services)
+    if logged == total:
+        return []
+    return [f"telemetry logged {logged} of {total} recovery actions"]
 
 
 def _coerce_sanitizer(sanitize):
-    """Normalize ``run_chaos(sanitize=...)`` to a ScheduleSanitizer.
-
-    Accepts ``None`` (off), ``True`` (default config), a
-    :class:`~repro.analysis.sanitizer.SanitizeConfig`, or an existing
-    :class:`~repro.analysis.sanitizer.ScheduleSanitizer` (the proof
-    driver passes one in so it can read the run's results back).
-    Imported lazily so the workload stays importable without the
-    analysis package.
-    """
+    """``sanitize=...`` as a ScheduleSanitizer, or ``None`` when off
+    (imported lazily: the harness does not need the analysis package)."""
     if sanitize is None or sanitize is False:
         return None
     from repro.analysis.sanitizer import SanitizeConfig, ScheduleSanitizer
 
     if isinstance(sanitize, ScheduleSanitizer):
         return sanitize
-    if isinstance(sanitize, SanitizeConfig):
-        return ScheduleSanitizer(sanitize)
-    return ScheduleSanitizer(SanitizeConfig())
-
-
-def _track_chaos_state(sanitizer, scenario: Scenario) -> None:
-    """Register the shared single-grid state the sanitizer watches."""
-    dgms = scenario.dgms
-    sanitizer.track_object("dgms.transfers", dgms.transfers)
-    sanitizer.track_object("dgms.namespace", dgms.namespace)
-    sanitizer.track_object("dgms.resources", dgms.resources)
-    sanitizer.track_object("server", scenario.server)
-    sanitizer.track_object("provenance", scenario.provenance)
+    return ScheduleSanitizer(sanitize if isinstance(sanitize, SanitizeConfig)
+                             else SanitizeConfig())
 
 
 # --------------------------------------------------------------------------
-# The workload
+# The run skeleton, the sweep loop, the prover, the fingerprint
 # --------------------------------------------------------------------------
 
 
-def _replicate_flow(name: str, paths: List[str], resource: str):
-    builder = flow_builder(name)
-    for index, path in enumerate(paths):
-        builder.step(f"rep-{index}", "srb.replicate",
-                     path=path, resource=resource)
-    return builder.build()
+def run_scenario(scenario: ChaosScenario, seed: int, faults: bool = True,
+                 recovery: bool = True,
+                 schedule: Optional[FaultSchedule] = None,
+                 sanitize=None) -> ScenarioReport:
+    """One chaos run of ``scenario`` for ``seed``.
 
-
-def _audit_flow(name: str, paths: List[str], to_domain: str):
-    builder = flow_builder(name)
-    for index, path in enumerate(paths):
-        builder.step(f"get-{index}", "srb.get",
-                     path=path, to_domain=to_domain)
-    return builder.build()
-
-
-def _run_workload(scenario: Scenario,
-                  supervisor: Optional[FlowSupervisor]) -> None:
-    env = scenario.env
-    server = scenario.server
-    user = scenario.users["physicist"]
-    paths = [obj.path for obj in
-             scenario.dgms.namespace.iter_objects_in_path_order("/cms/run1")]
-    tier1_resources = scenario.extras["tier1_resources"]
-    tier2_domain = scenario.extras["tier2"][0]
-    tier2_resource = scenario.extras["tier2_resources"][0]
-
-    def submit(flow):
-        """Start one flow; returns a process resolving to its execution."""
-        request = DataGridRequest(user=user.qualified_name,
-                                  virtual_organization="chaos", body=flow,
-                                  asynchronous=True)
-        if supervisor is not None:
-            def _supervised():
-                execution = yield from supervisor.run(request)
-                return execution
-            return env.process(_supervised())
-        response = server.submit(request)
-
-        def _unsupervised():
-            execution = yield server.wait(response.request_id)
-            return execution
-        return env.process(_unsupervised())
-
-    def _driver():
-        # Stage 1: staged replication, one concurrent flow per tier-1.
-        stage1 = [submit(_replicate_flow(f"stage1-{resource}", paths,
-                                         resource))
-                  for resource in tier1_resources]
-        for process in stage1:
-            yield process
-        # Stage 2: an ILM fan-out pass mirrors everything to a tier-2
-        # resource — the months-long lifecycle process, here supervised.
-        manager = ILMManager(server)
-        manager.add_policy(ILMPolicy(
-            name="t2-mirror", collection="/cms/run1", domain=tier2_domain,
-            rules=[PlacementRule("fan-out", "replica_count < 4",
-                                 "replicate_to", tier2_resource)]))
-        yield from manager.run_pass_sync("t2-mirror", user,
-                                         supervisor=supervisor)
-        # Stage 3: audit reads to a tier-2 domain (exercises the
-        # alternate-replica failover path in DGMS.get).
-        yield submit(_audit_flow("audit", paths, tier2_domain))
-
-    env.run_process(_driver())
-
-
-# --------------------------------------------------------------------------
-# Invariants
-# --------------------------------------------------------------------------
-
-
-def _check_invariants(scenario: Scenario, driver: Optional[FaultDriver],
-                      service: Optional[RecoveryService],
-                      supervisor: Optional[FlowSupervisor]) -> List[str]:
-    violations: List[str] = []
-    dgms = scenario.dgms
-    server = scenario.server
-    provenance = scenario.provenance
-    telemetry = scenario.env.telemetry
-
-    # No lost replicas: the catalog and the physical allocations agree.
-    for obj in dgms.namespace.iter_objects("/"):
-        good = obj.good_replicas()
-        if not good:
-            violations.append(f"{obj.path}: no good replicas left")
-        for replica in good:
-            physical = dgms.resources.physical(replica.physical_name).physical
-            if not physical.holds(replica.allocation_id):
-                violations.append(
-                    f"{obj.path}: replica {replica.allocation_id} missing "
-                    f"from {replica.physical_name}")
-
-    # Every execution reached a terminal state; with recovery attached
-    # the chaos workload must come out COMPLETED, not merely terminal.
-    for execution in server.executions():
-        if not execution.state.is_terminal:
-            violations.append(
-                f"{execution.request_id}: stuck in "
-                f"{execution.state.value}")
-        elif (service is not None
-              and execution.state is not ExecutionState.COMPLETED):
-            violations.append(
-                f"{execution.request_id}: {execution.state.value} despite "
-                f"recovery ({execution.error})")
-
-    # Provenance chain complete: start, terminal record, and one
-    # completion record per journalled step instance.
-    for execution in server.executions():
-        kinds = {record.operation
-                 for record in provenance.for_subject(execution.request_id)}
-        if "execution_started" not in kinds:
-            violations.append(
-                f"{execution.request_id}: provenance missing "
-                "execution_started")
-        if execution.state.is_terminal:
-            terminal = f"execution_{execution.state.value}"
-            if terminal not in kinds:
-                violations.append(
-                    f"{execution.request_id}: provenance missing {terminal}")
-        for key in execution.journal:
-            step_kinds = {record.operation for record in provenance.
-                          for_subject(f"{execution.request_id}/{key}")}
-            if not step_kinds & {"step_completed", "step_replayed"}:
-                violations.append(
-                    f"{execution.request_id}/{key}: journalled step has no "
-                    "completion provenance")
-
-    # Every fault window opened, closed, and left a telemetry pair; every
-    # recovery action was mirrored into the telemetry log.
-    if driver is not None:
-        if driver.begun != len(driver.schedule):
-            violations.append(
-                f"{driver.begun}/{len(driver.schedule)} fault windows began")
-        if driver.ended != driver.begun:
-            violations.append(
-                f"{driver.ended}/{driver.begun} fault windows ended")
-        if telemetry is not None:
-            begins = len(telemetry.log.of_kind("fault.begin"))
-            ends = len(telemetry.log.of_kind("fault.end"))
-            if begins != driver.begun or ends != driver.ended:
-                violations.append(
-                    f"telemetry saw {begins} begins/{ends} ends for "
-                    f"{driver.begun}/{driver.ended} fault transitions")
-    if service is not None and telemetry is not None:
-        logged = sum(len(telemetry.log.of_kind(f"recovery.{kind}"))
-                     for kind in service.counts)
-        if logged != service.total_actions:
-            violations.append(
-                f"telemetry logged {logged} of {service.total_actions} "
-                "recovery actions")
-    return violations
-
-
-# --------------------------------------------------------------------------
-# Entry point
-# --------------------------------------------------------------------------
-
-
-def run_chaos(seed: int, faults: bool = True, recovery: bool = True,
-              n_fault_events: int = 6, horizon: float = 40.0,
-              n_events: int = 4, event_size: float = 16 * MB,
-              schedule: Optional[FaultSchedule] = None,
-              observe: bool = False,
-              observe_dump_path: Optional[str] = None,
-              observe_export: bool = False,
-              cache: bool = False,
-              sanitize=None) -> ChaosReport:
-    """One chaos run: CMS workload under a seeded fault schedule.
-
-    ``faults=False`` runs the identical workload with no schedule
-    attached (the bit-identity baseline); ``recovery=False`` leaves the
-    grid fail-fast so the damage a schedule does is measurable. Pass an
-    explicit ``schedule`` to replay a known one instead of drawing a
-    random schedule from the seed.
-
-    ``observe=True`` attaches the full observability stack (flight
-    recorder + SLO engine) on top of telemetry, evaluates the probes
-    after the run, and fills :attr:`ChaosReport.observe`. The recorder
-    auto-dumps on an invariant violation (to ``observe_dump_path`` when
-    set, and on demand at end of run when a path is given);
-    ``observe_export=True`` additionally keeps the run's full JSONL
-    telemetry export on the report for trace reconstruction. The stack
-    is read-only: an observed run's :func:`run_signature` is
-    bit-identical to an unobserved one (gated by
-    ``benchmarks/test_e23_observability.py``).
-
-    ``cache=True`` attaches the memoizing DGMS cache tier
-    (:func:`repro.dfms.cache.attach_cache`); its TTLs tick in sim time
-    and its invalidation is precise, so a cached run's signature must
-    also be bit-identical — ``benchmarks/test_e24_gateway.py`` sweeps
-    this against the pinned baseline.
-
-    ``sanitize`` attaches the schedule sanitizer
-    (:mod:`repro.analysis.sanitizer`): ``True`` or a ``SanitizeConfig``
-    for race detection (and, with ``permute=True``, schedule
-    permutation), or a ``ScheduleSanitizer`` instance the caller wants
-    to read results back from. With permutation off the dispatch order
-    is untouched, so a sanitized run's :func:`run_signature` stays
-    bit-identical to an unsanitized one; the report gains
-    :attr:`ChaosReport.sanitizer` and :attr:`ChaosReport.canonical`.
+    ``faults=False`` runs the identical workload with no schedule (the
+    bit-identity baseline); ``recovery=False`` leaves the grid
+    fail-fast, so a schedule's damage is measurable; ``schedule``
+    replays a known schedule instead of drawing one from the seed.
+    ``sanitize`` (``True``, a ``SanitizeConfig``, or a
+    ``ScheduleSanitizer`` to read back) attaches the schedule sanitizer
+    and fills ``sanitizer`` and ``canonical``; with permutation off the
+    dispatch order, and so the signature, is untouched.
     """
-    scenario = cms_scenario(n_tier1=2, n_tier2_per_t1=1, n_events=n_events,
-                            event_size=event_size, seed=seed)
-    instrument_scenario(scenario)
-    if cache:
-        from repro.dfms.cache import attach_cache
-        attach_cache(scenario.dgms)
-    obs = None
-    if observe:
-        obs = attach_observability(scenario.env, server=scenario.server,
-                                   dgms=scenario.dgms,
-                                   dump_path=observe_dump_path)
+    scenario.build(seed)
+    env = scenario.env
     sanitizer = _coerce_sanitizer(sanitize)
     if sanitizer is not None:
-        sanitizer.attach(scenario.env)
-        _track_chaos_state(sanitizer, scenario)
-    streams = RandomStreams(seed)
-    if sanitizer is not None:
+        sanitizer.attach(env)
         # Before any consumer pulls a substream, so the recovery
         # backoff/supervisor draws (the shared-stream hazard DGF007
-        # exists for) are draw-tracked.
-        sanitizer.track_streams(streams)
+        # exists for) are draw-tracked; spawn() children inherit it.
+        sanitizer.track_streams(scenario.streams)
+        scenario.track(sanitizer)
     driver = None
-    if faults:
-        if schedule is None:
-            schedule = FaultSchedule.random(streams, scenario.dgms, horizon,
-                                            n_events=n_fault_events)
-        driver = attach_faults(scenario.dgms, schedule, streams)
-    service = None
-    supervisor = None
+    services: List = []
+    if faults and scenario.faults_first:
+        driver = scenario.attach_faults(schedule)
     if recovery:
-        service = attach_recovery(scenario.dgms, streams,
-                                  policy=CHAOS_POLICY)
-        supervisor = FlowSupervisor(scenario.server, streams,
-                                    policy=CHAOS_POLICY, recovery=service)
-    _run_workload(scenario, supervisor)
-    makespan = scenario.env.now
-    # Drain any fault windows still open past the workload's end so the
-    # invariant check sees the restored (and fully accounted) grid.
-    scenario.env.run()
-    report = ChaosReport(
+        services = scenario.attach_recovery()
+    if faults and not scenario.faults_first:
+        driver = scenario.attach_faults(schedule)
+    scenario.workload()
+    makespan = env.now
+    scenario.drain()
+    report = scenario.report_type(
         seed=seed, faults=faults, recovery=recovery, makespan=makespan,
         faults_begun=driver.begun if driver else 0,
         faults_ended=driver.ended if driver else 0,
-        interrupted_transfers=scenario.dgms.transfers.interrupted_count,
-        restarts=supervisor.restarts if supervisor else 0,
-        recovery_actions=dict(service.counts) if service else {},
-        executions={execution.request_id: execution.state.value
-                    for execution in scenario.server.executions()},
-        signature=run_signature(scenario),
-    )
-    report.violations = _check_invariants(scenario, driver, service,
-                                          supervisor)
+        signature=scenario.run_signature(), **scenario.report_fields())
+    report.violations = (lost_replicas(scenario.grids)
+                         + scenario.invariants()
+                         + unaccounted_faults(driver, env.telemetry)
+                         + unaccounted_recovery(services, env.telemetry))
     if sanitizer is not None:
         sanitizer.detach()
         report.sanitizer = sanitizer.to_dict()
         # A permuted schedule that breaks a survival invariant must
         # refute the proof even if the terminal placement matches.
-        report.canonical = (canonical_signature(scenario)
+        report.canonical = (scenario.canonical_signature()
                             + (tuple(report.violations),))
-    if obs is not None:
-        report.observe = _observe_report(obs, report, observe_export)
     return report
 
 
-def prove_chaos_order_independence(seed: int, *, order: str = "reverse",
-                                   permute_seed: int = 0,
-                                   max_runs: int = 40, **kwargs):
-    """Prove (or refute with a minimized witness) that the chaos run for
-    ``seed`` is independent of legal same-timestamp dispatch order.
+def run_sweep(run: Callable[..., ScenarioReport], seeds: Sequence[int],
+              **kwargs) -> List[ScenarioReport]:
+    """The one sweep loop: ``run(seed, **kwargs)`` per seed, serially,
+    reports in seed order."""
+    return [run(seed, **kwargs) for seed in seeds]
 
-    Drives :func:`repro.analysis.sanitizer.prove_order_independence`
-    over fresh :func:`run_chaos` instances, diffing
-    :func:`canonical_signature`; ``kwargs`` forward to every run (e.g.
-    ``horizon=``, ``n_fault_events=``). Returns a
-    :class:`~repro.analysis.sanitizer.PermutationProof`.
+
+def sweep_fingerprint(reports: Sequence[ScenarioReport]) -> str:
+    """One hex digest over a whole sweep's signatures — the value the
+    ``benchmarks/*.sha256`` pins record."""
+    blob = "\n".join(repr(report.signature) for report in reports)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def prove_run_order_independence(run: Callable[..., ScenarioReport],
+                                 seed: int, *, order: str = "reverse",
+                                 permute_seed: int = 0, max_runs: int = 40,
+                                 **kwargs):
+    """Prove (or refute with a minimized witness) that ``run(seed)`` is
+    independent of legal same-timestamp dispatch order: drives
+    :func:`repro.analysis.sanitizer.prove_order_independence` over fresh
+    sanitized runs (``kwargs`` forward to each), diffing ``canonical``.
     """
     from repro.analysis.sanitizer import (
         ScheduleSanitizer,
@@ -497,12 +367,222 @@ def prove_chaos_order_independence(seed: int, *, order: str = "reverse",
 
     def _run(config):
         sanitizer = ScheduleSanitizer(config)
-        report = run_chaos(seed, sanitize=sanitizer, **kwargs)
+        report = run(seed, sanitize=sanitizer, **kwargs)
         return report.canonical, sanitizer
 
     return prove_order_independence(_run, order=order,
                                     permute_seed=permute_seed,
                                     max_runs=max_runs)
+
+
+# --------------------------------------------------------------------------
+# The single-grid scenario
+# --------------------------------------------------------------------------
+
+
+def _per_path_flow(name: str, prefix: str, operation: str,
+                   paths: List[str], **params):
+    """A sequential flow of one ``operation`` step per path."""
+    builder = flow_builder(name)
+    for index, path in enumerate(paths):
+        builder.step(f"{prefix}-{index}", operation, path=path, **params)
+    return builder.build()
+
+
+@dataclass
+class GridChaos(ChaosScenario):
+    """The CMS exploding-star workload on one datagrid.
+
+    ``observe=True`` attaches the full observability stack (flight
+    recorder + SLO engine) on top of telemetry and fills
+    :attr:`ChaosReport.observe`; ``cache=True`` attaches the memoizing
+    DGMS cache tier. Both are read-only over the simulation.
+    """
+
+    n_fault_events: int = 6
+    horizon: float = 40.0
+    n_events: int = 4
+    event_size: float = 16 * MB
+    observe: bool = False
+    observe_dump_path: Optional[str] = None
+    observe_export: bool = False
+    cache: bool = False
+
+    report_type = ChaosReport
+
+    def build(self, seed: int) -> None:
+        self.scenario = cms_scenario(n_tier1=2, n_tier2_per_t1=1,
+                                     n_events=self.n_events,
+                                     event_size=self.event_size, seed=seed)
+        self.env = self.scenario.env
+        self.dgms = self.scenario.dgms
+        self.grids = [("", self.dgms)]
+        instrument_scenario(self.scenario)
+        if self.cache:
+            from repro.dfms.cache import attach_cache
+            attach_cache(self.dgms)
+        self.obs = None
+        if self.observe:
+            self.obs = attach_observability(
+                self.env, server=self.scenario.server, dgms=self.dgms,
+                dump_path=self.observe_dump_path)
+        self.streams = RandomStreams(seed)
+        self.service = self.supervisor = None
+
+    def track(self, sanitizer) -> None:
+        sanitizer.track_object("dgms.transfers", self.dgms.transfers)
+        sanitizer.track_object("dgms.namespace", self.dgms.namespace)
+        sanitizer.track_object("dgms.resources", self.dgms.resources)
+        sanitizer.track_object("server", self.scenario.server)
+        sanitizer.track_object("provenance", self.scenario.provenance)
+
+    def attach_faults(self, schedule):
+        if schedule is None:
+            schedule = FaultSchedule.random(self.streams, self.dgms,
+                                            self.horizon,
+                                            n_events=self.n_fault_events)
+        return attach_faults(self.dgms, schedule, self.streams)
+
+    def attach_recovery(self) -> List:
+        self.service = attach_recovery(self.dgms, self.streams,
+                                       policy=CHAOS_POLICY)
+        self.supervisor = FlowSupervisor(self.scenario.server, self.streams,
+                                         policy=CHAOS_POLICY,
+                                         recovery=self.service)
+        return [self.service]
+
+    def workload(self) -> None:
+        scenario = self.scenario
+        env = self.env
+        server = scenario.server
+        supervisor = self.supervisor
+        user = scenario.users["physicist"]
+        paths = [obj.path for obj in
+                 self.dgms.namespace.iter_objects_in_path_order("/cms/run1")]
+        tier2_domain = scenario.extras["tier2"][0]
+        tier2_resource = scenario.extras["tier2_resources"][0]
+
+        def submit(flow):
+            """Start one flow; returns a process resolving to its
+            execution."""
+            request = DataGridRequest(user=user.qualified_name,
+                                      virtual_organization="chaos",
+                                      body=flow, asynchronous=True)
+            if supervisor is not None:
+                return env.process(supervisor.run(request))
+            response = server.submit(request)
+
+            def _unsupervised():
+                execution = yield server.wait(response.request_id)
+                return execution
+            return env.process(_unsupervised())
+
+        def _driver():
+            # Stage 1: staged replication, one concurrent flow per tier-1.
+            stage1 = [submit(_per_path_flow(f"stage1-{resource}", "rep",
+                                            "srb.replicate", paths,
+                                            resource=resource))
+                      for resource in scenario.extras["tier1_resources"]]
+            for process in stage1:
+                yield process
+            # Stage 2: an ILM fan-out pass mirrors everything to a tier-2
+            # resource — the months-long lifecycle process, supervised.
+            manager = ILMManager(server)
+            manager.add_policy(ILMPolicy(
+                name="t2-mirror", collection="/cms/run1",
+                domain=tier2_domain,
+                rules=[PlacementRule("fan-out", "replica_count < 4",
+                                     "replicate_to", tier2_resource)]))
+            yield from manager.run_pass_sync("t2-mirror", user,
+                                             supervisor=supervisor)
+            # Stage 3: audit reads to a tier-2 domain (exercises the
+            # alternate-replica failover path in DGMS.get).
+            yield submit(_per_path_flow("audit", "get", "srb.get", paths,
+                                        to_domain=tier2_domain))
+
+        env.run_process(_driver())
+
+    def report_fields(self) -> Dict:
+        return {
+            "interrupted_transfers": self.dgms.transfers.interrupted_count,
+            "restarts": self.supervisor.restarts if self.supervisor else 0,
+            "recovery_actions": (dict(self.service.counts)
+                                 if self.service else {}),
+            "executions": {execution.request_id: execution.state.value
+                           for execution in self.scenario.server.executions()},
+        }
+
+    def invariants(self) -> List[str]:
+        violations: List[str] = []
+        provenance = self.scenario.provenance
+        for execution in self.scenario.server.executions():
+            # Terminal; with recovery attached the chaos workload must
+            # come out COMPLETED, not merely terminal.
+            if not execution.state.is_terminal:
+                violations.append(
+                    f"{execution.request_id}: stuck in "
+                    f"{execution.state.value}")
+            elif (self.service is not None
+                  and execution.state is not ExecutionState.COMPLETED):
+                violations.append(
+                    f"{execution.request_id}: {execution.state.value} "
+                    f"despite recovery ({execution.error})")
+            # Provenance chain complete: start, terminal record, and one
+            # completion record per journalled step instance.
+            kinds = {record.operation for record in
+                     provenance.for_subject(execution.request_id)}
+            if "execution_started" not in kinds:
+                violations.append(
+                    f"{execution.request_id}: provenance missing "
+                    "execution_started")
+            if execution.state.is_terminal:
+                terminal = f"execution_{execution.state.value}"
+                if terminal not in kinds:
+                    violations.append(
+                        f"{execution.request_id}: provenance missing "
+                        f"{terminal}")
+            for key in execution.journal:
+                step_kinds = {record.operation for record in provenance.
+                              for_subject(f"{execution.request_id}/{key}")}
+                if not step_kinds & {"step_completed", "step_replayed"}:
+                    violations.append(
+                        f"{execution.request_id}/{key}: journalled step "
+                        "has no completion provenance")
+        return violations
+
+    def run_signature(self) -> Tuple:
+        """Covers the clock, every completed transfer's exact float
+        timings, the terminal state and finish time of every execution,
+        and the provenance record count — enough that any behavioural
+        drift in the no-fault path shows up as a mismatch."""
+        return (
+            self.env.now,
+            transfer_signature(self.dgms),
+            self.dgms.transfers.total_bytes_moved,
+            tuple(sorted((e.request_id, e.state.value, e.finished_at)
+                         for e in self.scenario.server.executions())),
+            len(self.scenario.provenance.records()),
+        )
+
+    def canonical_signature(self) -> Tuple:
+        """Covers the makespan, the full replica placement and every
+        execution's terminal state.
+
+        Not covered: exact transfer timings, byte totals and provenance
+        counts. Recovery retries draw backoff jitter from substreams
+        *shared* across consumers (``recovery/backoff``,
+        ``recovery/supervisor``), so same-timestamp retries swap jitter
+        under reordering — pinned, shipped behaviour that DGF007 keeps
+        new code from adding to. What this proves is the paper-level
+        guarantee: under *every* legal same-timestamp schedule the grid
+        converges to the same terminal state in the same sim time.
+        """
+        return (
+            self.env.now,
+            placement_signature(self.dgms),
+            tuple(sorted((e.request_id, e.state.value)
+                         for e in self.scenario.server.executions())),
+        )
 
 
 def _observe_report(obs, report: ChaosReport,
@@ -538,51 +618,39 @@ def _observe_report(obs, report: ChaosReport,
     )
 
 
-def run_chaos_sweep(seeds: Optional[List[int]] = None,
-                    jobs: Optional[int] = None,
-                    **kwargs) -> List[ChaosReport]:
-    """The chaos sweep: :func:`run_chaos` for every seed, farmed out.
+def run_chaos(seed: int, faults: bool = True, recovery: bool = True,
+              schedule: Optional[FaultSchedule] = None, sanitize=None,
+              **params) -> ChaosReport:
+    """One chaos run: the CMS workload under a seeded fault schedule.
 
-    This is the parallel face of the invariant suite. Each seed's run is
-    fully determined by the seed (bit-identity is what the chaos suite
-    *checks*), shares nothing with other seeds, and a
-    :class:`~repro.workloads.chaos.ChaosReport` pickles cleanly — so the
-    sweep rides :func:`repro.farm.run_farm` across all cores. Reports come
-    back in seed order and are byte-identical to running the same seeds
-    serially (``jobs=1`` *is* the serial loop; ``tests/test_farm.py`` and
-    ``benchmarks/test_e22_kernel.py`` hold the two paths equal).
-
-    ``seeds`` defaults to :func:`default_chaos_seeds`; ``jobs`` defaults
-    to every available core; ``kwargs`` are forwarded to every
-    :func:`run_chaos` call.
+    ``params`` configure :class:`GridChaos` (``n_fault_events``,
+    ``horizon``, ``n_events``, ``event_size``, ``observe``,
+    ``observe_dump_path``, ``observe_export``, ``cache``); the rest is
+    :func:`run_scenario`. With ``observe=True`` the SLO probes are
+    evaluated after the run; the recorder dumps on an invariant
+    violation, or on demand when ``observe_dump_path`` is set, and
+    ``observe_export=True`` keeps the full JSONL export on the report.
     """
-    from repro.farm import run_farm
+    scenario = GridChaos(**params)
+    report = run_scenario(scenario, seed, faults=faults, recovery=recovery,
+                          schedule=schedule, sanitize=sanitize)
+    if scenario.obs is not None:
+        report.observe = _observe_report(scenario.obs, report,
+                                         scenario.observe_export)
+    return report
 
+
+def run_chaos_sweep(seeds: Optional[Sequence[int]] = None,
+                    **kwargs) -> List[ChaosReport]:
+    """:func:`run_chaos` for every seed (default
+    :func:`default_chaos_seeds`), serially, in seed order."""
     if seeds is None:
         seeds = default_chaos_seeds()
-    return run_farm(run_chaos, seeds, jobs=jobs, kwargs=kwargs)
+    return run_sweep(run_chaos, seeds, **kwargs)
 
 
-def run_federation_chaos(seed: int, **kwargs):
-    """Multi-zone chaos: one seeded federation run (thin forwarder).
-
-    The zone-scoped counterpart of :func:`run_chaos` — cross-zone copy
-    workloads under :class:`~repro.faults.model.ZoneOutage` /
-    :class:`~repro.faults.model.BridgeDegradation` schedules, with the
-    federation survival invariants checked. Lives in
-    :mod:`repro.federation.chaos` (which borrows this module's
-    :data:`CHAOS_POLICY`); imported lazily here so the single-grid chaos
-    harness stays importable without the federation package.
-    """
-    from repro.federation.chaos import run_federation_chaos as run
-
-    return run(seed, **kwargs)
-
-
-def run_federation_sweep(seeds: Optional[List[int]] = None,
-                         jobs: Optional[int] = None, **kwargs):
-    """Multi-zone chaos sweep, farmed like :func:`run_chaos_sweep`
-    (thin forwarder to :mod:`repro.federation.chaos`)."""
-    from repro.federation.chaos import run_federation_sweep as run
-
-    return run(seeds=seeds, jobs=jobs, **kwargs)
+def prove_chaos_order_independence(seed: int, **kwargs):
+    """:func:`prove_run_order_independence` over :func:`run_chaos`
+    (``order``, ``permute_seed``, ``max_runs`` and run parameters
+    forward)."""
+    return prove_run_order_independence(run_chaos, seed, **kwargs)

@@ -268,13 +268,10 @@ def run_saturation_point(arrival_rate: float, seed: int = 0,
 
 def run_saturation_curve(arrival_rates, seed: int = 0,
                          horizon_s: float = 60.0, workers: int = 4,
-                         queue_limit: int = 32, cache: bool = True,
-                         jobs: Optional[int] = None
+                         queue_limit: int = 32, cache: bool = True
                          ) -> List[Dict[str, object]]:
-    """:func:`run_saturation_point` per rate, farmed across cores."""
-    from repro.farm import run_farm
-
-    return run_farm(run_saturation_point, list(arrival_rates), jobs=jobs,
-                    kwargs={"seed": seed, "horizon_s": horizon_s,
-                            "workers": workers, "queue_limit": queue_limit,
-                            "cache": cache})
+    """:func:`run_saturation_point` per rate, serially, in rate order."""
+    return [run_saturation_point(rate, seed=seed, horizon_s=horizon_s,
+                                 workers=workers, queue_limit=queue_limit,
+                                 cache=cache)
+            for rate in arrival_rates]

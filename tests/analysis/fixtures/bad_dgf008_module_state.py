@@ -1,8 +1,8 @@
 """BAD: module-level mutable state mutated from inside functions.
 
 The cache outlives every Environment: back-to-back runs in one process
-see each other's entries, while seed-farm worker processes each see an
-empty one — same inputs, different outputs.
+(a seed sweep) see each other's entries, so a seed's output depends on
+which seeds ran before it — same inputs, different outputs.
 """
 
 _ROUTE_CACHE = {}

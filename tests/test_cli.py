@@ -94,3 +94,78 @@ def test_demo_bbsrc(capsys):
 def test_demo_cms(capsys):
     assert main(["demo", "cms", "--files", "2"]) == 0
     assert "completed" in capsys.readouterr().out
+
+
+# -- chaos and gateway sweeps ------------------------------------------------
+
+
+def test_cli_chaos_grid_smoke(capsys, tmp_path):
+    import json
+
+    from repro.workloads import run_chaos_sweep, sweep_fingerprint
+
+    out_path = tmp_path / "chaos.json"
+    assert main(["chaos", "--seeds", "0,1", "--json", str(out_path)]) == 0
+    out = capsys.readouterr().out
+    assert "restarts" in out and "invariants" in out
+    fingerprint = sweep_fingerprint(run_chaos_sweep(seeds=[0, 1]))
+    assert f"2 grid seed(s); 0 invariant failure(s); " \
+           f"fingerprint {fingerprint[:12]}" in out
+    payload = json.loads(out_path.read_text())
+    assert payload["scenario"] == "grid"
+    assert payload["fingerprint_sha256"] == fingerprint
+    assert [r["seed"] for r in payload["reports"]] == [0, 1]
+    assert all(r["ok"] and r["executions"] for r in payload["reports"])
+
+
+def test_cli_chaos_seed_count_form(capsys):
+    assert main(["chaos", "--seeds", "3", "--no-faults"]) == 0
+    out = capsys.readouterr().out
+    assert "3 grid seed(s); 0 invariant failure(s)" in out
+
+
+def test_cli_chaos_federation_text_and_json(capsys):
+    import json
+
+    assert main(["chaos", "--scenario", "federation", "--seeds", "1",
+                 "--zones", "2", "--json", "-"]) == 0
+    out = capsys.readouterr().out
+    table, _, document = out.partition("\n{")
+    assert "copies" in table and "stale" in table and "wrong" in table
+    assert "1 federation seed(s); 0 invariant failure(s)" in table
+    payload = json.loads("{" + document)
+    assert payload["scenario"] == "federation"
+    assert payload["n_zones"] == 2
+    [report] = payload["reports"]
+    assert report["ok"] and report["wrong_answers"] == 0
+    assert report["copies_attempted"] == (report["copies_completed"]
+                                          + report["copies_failed"])
+
+
+def test_cli_chaos_grid_rejects_federation_options(capsys):
+    assert main(["chaos", "--zones", "4", "--seeds", "1"]) == 2
+    assert "federation only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["chaos", "--scenario", "federation", "--zones", "1"], "--zones"),
+    (["gateway", "--workers", "0"], "--workers"),
+    (["gateway", "--queue-limit", "0"], "--queue-limit"),
+])
+def test_cli_rejects_bad_sizes_with_exit_2(argv, option, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"argument {option}: must be at least" in capsys.readouterr().err
+
+
+def test_cli_gateway_smoke(capsys):
+    import json
+
+    assert main(["gateway", "--loads", "1,2", "--horizon", "10",
+                 "--json", "-"]) == 0
+    out = capsys.readouterr().out
+    table, _, document = out.partition("\n{")
+    assert table.splitlines()[0].split()[:2] == ["offered/s", "goodput/s"]
+    payload = json.loads("{" + document)
+    assert [point["arrival_rate"] for point in payload["points"]] == [1, 2]

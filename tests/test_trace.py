@@ -1,16 +1,14 @@
-"""Tests for causal trace reconstruction and telemetry-export merging.
+"""Tests for causal trace reconstruction from telemetry exports.
 
 The JSONL export is the contract: this suite holds the read side
 (:mod:`repro.telemetry.trace`) to a byte-identical round trip, proves the
-span forest survives truncated and orphaned dumps, pins the farmed
-telemetry merge to the serial merge byte for byte, and walks the full
+span forest survives truncated and orphaned dumps, and walks the full
 fault → recovery → terminal causal chain out of a real chaos run.
 """
 
 import json
 
-from repro.farm import run_farm
-from repro.telemetry import instrument_scenario, jsonl_lines, merge_jsonl
+from repro.telemetry import instrument_scenario, jsonl_lines
 from repro.telemetry.trace import (
     build_span_forest,
     causal_trace,
@@ -107,34 +105,6 @@ def test_real_export_builds_a_clean_forest():
     for root in execution_roots:
         assert any(child.span["name"] == "flow"
                    for child in root.children)
-
-
-# -- farm merge ------------------------------------------------------------
-
-
-def test_farmed_telemetry_merge_is_byte_identical_to_serial():
-    seeds = [0, 1, 2, 3]
-    kwargs = dict(observe=True, observe_export=True, **SMALL)
-    serial = run_farm(run_chaos, seeds, jobs=1, kwargs=kwargs)
-    farmed = run_farm(run_chaos, seeds, jobs=2, kwargs=kwargs)
-    merged_serial = merge_jsonl(
-        (f"seed-{report.seed}", report.observe.jsonl) for report in serial)
-    merged_farmed = merge_jsonl(
-        (f"seed-{report.seed}", report.observe.jsonl) for report in farmed)
-    assert merged_serial == merged_farmed
-    assert all("\n" not in line for line in merged_farmed)
-
-
-def test_merge_tags_lines_with_their_run():
-    merged = merge_jsonl([
-        ("seed-0", ['{"type": "event", "time": 1.0, "kind": "x"}']),
-        ("seed-1", ['{"type": "event", "time": 0.5, "kind": "y"}']),
-    ])
-    entries = [json.loads(line) for line in merged]
-    assert [entry["run"] for entry in entries] == ["seed-0", "seed-1"]
-    # Part order is preserved — merging is concatenation plus tagging,
-    # so the result is a pure function of the inputs.
-    assert [entry["kind"] for entry in entries] == ["x", "y"]
 
 
 # -- causal reconstruction -------------------------------------------------
