@@ -45,6 +45,8 @@ REPEATS = 7
 #: one mode consistently for that process's whole lifetime, which no
 #: amount of within-process repetition averages away.
 MAX_ATTEMPTS = 3
+#: Attached-session overhead gate on the flow workload, in percent.
+OVERHEAD_GATE_PCT = 10.0
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 _RESULT_PATH = _REPO_ROOT / "BENCH_telemetry.json"
 
@@ -132,7 +134,7 @@ def test_e19_telemetry_overhead(benchmark, experiment):
         overhead = (flow_best["attached"] - flow_best["baseline"]) \
             / flow_best["baseline"]
         attempts.append((overhead, flow_best))
-        if overhead * 100 < 10.0:
+        if overhead * 100 < OVERHEAD_GATE_PCT:
             break
     _, flow_best = min(attempts, key=lambda attempt: attempt[0])
     baseline_s = flow_best["baseline"]
@@ -155,9 +157,6 @@ def test_e19_telemetry_overhead(benchmark, experiment):
     report.row("kernel-only baseline", kernel_base_s * 1e3, 0.0)
     report.row("kernel-only attached", kernel_on_s * 1e3, kernel_pct)
 
-    assert enabled_pct < 10.0, (
-        f"attached telemetry costs {enabled_pct:.1f}% "
-        f"(needs <10%; noise floor was {noise_pct:.1f}%)")
     benchmark.extra_info["enabled_overhead_pct"] = round(enabled_pct, 2)
     benchmark.extra_info["noise_floor_pct"] = round(noise_pct, 2)
     report.conclusion = (
@@ -165,6 +164,7 @@ def test_e19_telemetry_overhead(benchmark, experiment):
         f"workload (noise floor {noise_pct:.1f}%), "
         f"{kernel_pct:.1f}% on the bare kernel")
 
+    gate_passed = enabled_pct < OVERHEAD_GATE_PCT
     _RESULT_PATH.write_text(json.dumps({
         "experiment": "E19",
         "title": "telemetry overhead: detached vs attached",
@@ -182,7 +182,14 @@ def test_e19_telemetry_overhead(benchmark, experiment):
              "best_ms": round(kernel_on_s * 1e3, 3),
              "vs_baseline_pct": round(kernel_pct, 2)},
         ],
+        "gate": OVERHEAD_GATE_PCT,
+        "gate_passed": gate_passed,
     }, indent=2) + "\n")
+
+    assert gate_passed, (
+        f"attached telemetry costs {enabled_pct:.1f}% "
+        f"(needs <{OVERHEAD_GATE_PCT:.0f}%; noise floor was "
+        f"{noise_pct:.1f}%)")
 
     benchmark.pedantic(lambda: run_once(enabled=True), rounds=3,
                        iterations=1)

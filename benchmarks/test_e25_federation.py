@@ -32,8 +32,8 @@ import time
 from pathlib import Path
 
 from _helpers import check_pin
+from _references import FlatReplicaDirectory
 from repro.federation import (
-    FlatReplicaDirectory,
     LocalReplicaCatalog,
     ReplicaLocation,
     ReplicaLocationService,
@@ -159,12 +159,18 @@ def test_e25_sharded_rls_lookup_scales_flat(benchmark, experiment):
                        rounds=3, iterations=1)
     benchmark.extra_info["speedup_at_max"] = rows[-1]["speedup"]
 
+    # The speedup and flatness gates only arm at the default sizes.
+    gate_passed = (rows[-1]["speedup"] >= SPEEDUP_GATE
+                   and flatness <= FLATNESS_TOLERANCE
+                   if full_size else None)
     _merge_results(rls_scaling={
         "sizes": sizes,
         "sharded_probes": SHARDED_PROBES,
         "rows": rows,
         "flatness": round(flatness, 3),
         "gate": SPEEDUP_GATE,
+        "flatness_gate": FLATNESS_TOLERANCE,
+        "gate_passed": gate_passed,
     })
 
     if full_size:

@@ -84,6 +84,21 @@ class FlowCancelled(ReproError):
     """Internal control-flow signal: the execution was cancelled."""
 
 
+def _select_action(rule: UserDefinedRule, value):
+    """The action a rule's condition ``value`` picks, or None.
+
+    ``True`` picks the first action; a string picks the action of that
+    name; anything else picks none.
+    """
+    if value is True:
+        return rule.actions[0]
+    if isinstance(value, str):
+        for action in rule.actions:
+            if action.name == value:
+                return action
+    return None
+
+
 class FlowEngine:
     """Interprets flows for a DfMS server."""
 
@@ -485,14 +500,7 @@ class FlowEngine:
             value = evaluate_condition(rule.condition, error_scope)
         except ExpressionError:
             return None
-        action = None
-        if value is True:
-            action = rule.actions[0]
-        elif isinstance(value, str):
-            for candidate in rule.actions:
-                if candidate.name == value:
-                    action = candidate
-                    break
+        action = _select_action(rule, value)
         if action is None:
             return None
         operation = action.operation
@@ -509,15 +517,8 @@ class FlowEngine:
                              execution: FlowExecution):
         if rule is None:
             return
-        value = evaluate_condition(rule.condition, scope)
-        action = None
-        if value is True:
-            action = rule.actions[0]
-        elif isinstance(value, str):
-            for candidate in rule.actions:
-                if candidate.name == value:
-                    action = candidate
-                    break
+        action = _select_action(rule,
+                                evaluate_condition(rule.condition, scope))
         if action is None:
             return
         yield from self._invoke(action.operation, scope, ctx)

@@ -44,7 +44,6 @@ from repro.federation.placement import (
 )
 from repro.federation.rls import (
     BloomDigest,
-    FlatReplicaDirectory,
     LocalReplicaCatalog,
     LocateResult,
     ReplicaLocation,
@@ -67,7 +66,6 @@ __all__ = [
     "FederationChaosReport",
     "FederationFaultDriver",
     "FederationScenario",
-    "FlatReplicaDirectory",
     "LocalReplicaCatalog",
     "LocateResult",
     "PLACEMENT_POLICIES",

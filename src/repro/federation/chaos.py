@@ -43,6 +43,7 @@ from repro.faults.model import (
     FaultDriver,
     FaultEvent,
     FaultSchedule,
+    FaultWindowDriver,
     ZoneOutage,
 )
 from repro.faults.recovery import attach_recovery
@@ -131,7 +132,7 @@ def federation_fault_schedule(streams: RandomStreams, federation,
     return FaultSchedule(events)
 
 
-class FederationFaultDriver:
+class FederationFaultDriver(FaultWindowDriver):
     """Arms zone-scoped schedules against a federation.
 
     A zone outage is "hold every physical resource and every intra-zone
@@ -145,17 +146,12 @@ class FederationFaultDriver:
     placement) reads.
     """
 
+    label = "federation fault driver"
+
     def __init__(self, federation, schedule: FaultSchedule,
                  streams: Optional[RandomStreams] = None) -> None:
+        super().__init__(federation.env, schedule)
         self.federation = federation
-        self.env = federation.env
-        self.schedule = schedule
-        self.begun = 0
-        self.ended = 0
-        #: (time, phase, kind, target) per transition (mirrors
-        #: :attr:`FaultDriver.log`).
-        self.log: List[Tuple[float, str, str, str]] = []
-        self._armed = False
         # One mechanics driver per zone, sharing the run's streams so a
         # caller can arm intra-zone schedules on the same drivers.
         self.mechanics: Dict[str, FaultDriver] = {
@@ -168,26 +164,6 @@ class FederationFaultDriver:
                                  Tuple[List[str],
                                        List[Tuple[str, str]]]] = {}
         self._bridges: Dict[BridgeDegradation, object] = {}
-
-    @property
-    def open_faults(self) -> int:
-        """Fault windows currently open (begin seen, end not yet)."""
-        return self.begun - self.ended
-
-    def arm(self) -> "FederationFaultDriver":
-        """Validate the schedule against the federation and schedule
-        every begin/end as a kernel timeout. One-shot."""
-        if self._armed:
-            raise FaultError("federation fault driver is already armed")
-        self._armed = True
-        self._resolve_targets()
-        now = self.env.now
-        for event in self.schedule:
-            begin = self.env.timeout(max(0.0, event.start - now))
-            begin.callbacks.append(lambda _e, ev=event: self._begin(ev))
-            end = self.env.timeout(max(0.0, event.end - now))
-            end.callbacks.append(lambda _e, ev=event: self._end(ev))
-        return self
 
     def _resolve_targets(self) -> None:
         for event in self.schedule:
@@ -211,19 +187,6 @@ class FederationFaultDriver:
                 self._bridges[event] = bridge
 
     # -- transitions ---------------------------------------------------------
-
-    def _note(self, phase: str, event: FaultEvent) -> None:
-        if phase == "begin":
-            self.begun += 1
-        else:
-            self.ended += 1
-        self.log.append((self.env.now, phase, event.kind, event.target))
-        t = self.env.telemetry
-        if t is not None:
-            t.fault_events.labels(kind=event.kind, phase=phase).inc()
-            t.log.emit(f"fault.{phase}", fault=event.kind,
-                       target=event.target, start=event.start,
-                       duration=event.duration)
 
     def _begin(self, event: FaultEvent) -> None:
         if isinstance(event, ZoneOutage):

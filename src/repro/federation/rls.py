@@ -37,7 +37,6 @@ from repro.errors import FederationError
 
 __all__ = [
     "BloomDigest",
-    "FlatReplicaDirectory",
     "LocalReplicaCatalog",
     "LocateResult",
     "ReplicaLocation",
@@ -490,40 +489,6 @@ class ReplicaLocationService:
             "lrc_queries": self.lrc_queries,
             "shards_touched": self.shards_touched,
         }
-
-
-class FlatReplicaDirectory:
-    """The single-catalog baseline E25 measures the sharded RLS against.
-
-    One flat list of ``(guid, location)`` rows for the whole federation —
-    the "one big replica catalog" a non-federated deployment would keep.
-    :meth:`locate` scans it, so cost grows with total federation size
-    while the sharded service's lookup cost stays at one shard. Kept as
-    the reference model, not a production path.
-    """
-
-    def __init__(self) -> None:
-        self._rows: List[Tuple[str, ReplicaLocation]] = []
-        self.rows_scanned = 0
-
-    def add(self, guid: str, locations: Sequence[ReplicaLocation]) -> None:
-        """Append one row per location for ``guid``."""
-        for location in locations:
-            self._rows.append((guid, location))
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def locate(self, guid: str) -> Tuple[ReplicaLocation, ...]:
-        """Scan every row for ``guid`` (cost grows with the directory)."""
-        found = []
-        scanned = 0
-        for row_guid, location in self._rows:
-            scanned += 1
-            if row_guid == guid:
-                found.append(location)
-        self.rows_scanned += scanned
-        return tuple(found)
 
 
 def attach_rls(federation, n_shards: int = DEFAULT_SHARDS,

@@ -124,8 +124,9 @@ class Query:
     can answer (metadata EQ/EXISTS, guid EQ, size ranges) is scored by its
     candidate count, evaluation starts from the most selective access
     path, and every candidate is re-verified against the full conjunction
-    — so results are always identical to a brute-force scan
-    (:meth:`run_scan`), just sublinear for selective queries.
+    — so results are always identical to a brute-force scan (the
+    reference ``scan`` in ``benchmarks/_references.py``), just sublinear
+    for selective queries.
     """
 
     collection: str = "/"
@@ -181,24 +182,6 @@ class Query:
         """Record which access path answered a query and at what cost."""
         telemetry.catalog_queries.labels(access_path=access_path).inc()
         telemetry.catalog_candidates.inc(examined)
-
-    def run_scan(self, namespace: LogicalNamespace) -> List[DataObject]:
-        """Brute-force evaluation (the pre-catalog semantics).
-
-        Kept as the reference implementation: equivalence tests and the
-        catalog benchmark compare :meth:`run` against this.
-        """
-        if self.recursive:
-            candidates = namespace.iter_objects(self.collection)
-        else:
-            parent = namespace.resolve_collection(self.collection)
-            candidates = (c for c in parent.children()
-                          if isinstance(c, DataObject))
-        results = [obj for obj in candidates if self.matches(obj)]
-        results.sort(key=lambda o: o.path)
-        if self.limit is not None:
-            results = results[: self.limit]
-        return results
 
     # -- planning -----------------------------------------------------------
 

@@ -24,11 +24,12 @@ settled (its progress advanced to "now") only when its rate actually
 changes; between rate changes it drains linearly and needs no bookkeeping.
 Projected finish times live in a lazily-invalidated min-heap that drives a
 single persistent, reschedulable kernel timer — no throwaway wake
-processes. The superseded global model survives as
-:meth:`TransferService._recompute_rates_full` (``incremental=False``) and
-is exercised by the equivalence tests and ``benchmarks/test_e20_network.py``;
-because both modes settle under the identical "only on rate change" rule,
-their per-transfer completion times are bit-identical.
+processes. The superseded global model (re-rate every active transfer
+on every event) lives beside the benchmarks, in
+``benchmarks/_references.py``, as a subclass that overrides only
+:meth:`TransferService._recompute_rates_affected`; because both settle
+under the identical "only on rate change" rule, their per-transfer
+completion times are bit-identical.
 """
 
 from __future__ import annotations
@@ -97,20 +98,11 @@ class _ActiveTransfer:
 
 
 class TransferService:
-    """Runs point-to-point transfers with per-link fair sharing.
+    """Runs point-to-point transfers with per-link fair sharing."""
 
-    ``incremental=False`` selects the reference engine: every event
-    re-rates *all* active transfers via :meth:`_recompute_rates_full`
-    (O(active × links) per event) instead of just the affected set. Both
-    modes produce bit-identical completion times; the flag exists for
-    equivalence testing and benchmarking.
-    """
-
-    def __init__(self, env: Environment, topology: Topology,
-                 incremental: bool = True) -> None:
+    def __init__(self, env: Environment, topology: Topology) -> None:
         self.env = env
         self.topology = topology
-        self.incremental = incremental
         # Dict-as-ordered-set: O(1) membership/removal, deterministic
         # iteration (kernel determinism forbids id-ordered sets).
         self._active: Dict[_ActiveTransfer, None] = {}
@@ -216,10 +208,7 @@ class TransferService:
         for link in links:
             self._by_link.setdefault(link.ends, {})[transfer] = link
             touched[link.ends] = None
-        if self.incremental:
-            self._recompute_rates_affected(touched)
-        else:
-            self._recompute_rates_full()
+        self._recompute_rates_affected(touched)
         self._arm_timer()
 
     def _finish(self, stats: TransferStats, done: Event,
@@ -297,10 +286,7 @@ class TransferService:
                            if l.ends == ends)
         for transfer in victims:
             self._interrupt(transfer, failed_link)
-        if self.incremental:
-            self._recompute_rates_affected(touched)
-        else:
-            self._recompute_rates_full()
+        self._recompute_rates_affected(touched)
         self._arm_timer()
         return len(victims)
 
@@ -320,10 +306,7 @@ class TransferService:
             transfer.links = [new_link if link.ends == ends else link
                               for link in transfer.links]
             state[transfer] = new_link
-        if self.incremental:
-            self._recompute_rates_affected((ends,))
-        else:
-            self._recompute_rates_full()
+        self._recompute_rates_affected((ends,))
         self._arm_timer()
         return len(state)
 
@@ -343,19 +326,6 @@ class TransferService:
                    transfer.rate * clock_step)
 
     # -- rate maintenance ---------------------------------------------------
-
-    def _rates_full(self) -> Dict[_ActiveTransfer, float]:
-        """Every active transfer's fair-share rate, computed from scratch.
-
-        The ground truth the incremental engine must agree with at all
-        times; used directly by the equivalence tests.
-        """
-        by_link = self._by_link
-        return {
-            transfer: min(link.bandwidth_bps / len(by_link[link.ends])
-                          for link in transfer.links)
-            for transfer in self._active
-        }
 
     def _apply_rates(self, candidates: Iterable[_ActiveTransfer]) -> None:
         """Re-rate ``candidates``; settle a transfer only when its rate
@@ -391,10 +361,6 @@ class TransferService:
                 for transfer in state:
                     candidates[transfer] = None
         self._apply_rates(candidates)
-
-    def _recompute_rates_full(self) -> None:
-        """Reference model: re-rate every active transfer (global sweep)."""
-        self._apply_rates(self._active)
 
     # -- wake timer ---------------------------------------------------------
 
@@ -473,10 +439,7 @@ class TransferService:
                 for link in transfer.links:
                     touched[link.ends] = None
                 self._finish(transfer.stats, transfer.done, transfer.span)
-            if self.incremental:
-                self._recompute_rates_affected(touched)
-            else:
-                self._recompute_rates_full()
+            self._recompute_rates_affected(touched)
         self._arm_timer()
 
     def _remove(self, transfer: _ActiveTransfer) -> None:

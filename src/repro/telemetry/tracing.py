@@ -81,15 +81,6 @@ class Tracer:
 
     # -- context -----------------------------------------------------------
 
-    def _context_key(self) -> int:
-        # Hot path: callers inline this logic; kept as a method for tests.
-        env = self._env
-        if env is not None:
-            active = env.active_process
-            if active is not None:
-                return id(active)
-        return 0
-
     def current_span(self) -> Optional[Span]:
         """The innermost open span of the calling process context."""
         env = self._env

@@ -213,5 +213,5 @@ def test_driver_logs_balanced_begin_end_pairs(grid):
 
 def test_driver_cannot_be_armed_twice(grid):
     driver = attach_faults(grid.dgms, FaultSchedule())
-    with pytest.raises(FaultError):
+    with pytest.raises(FaultError, match="^fault driver is already armed$"):
         driver.arm()

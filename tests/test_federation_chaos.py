@@ -55,7 +55,8 @@ def test_federation_driver_rejects_non_zone_events_and_unknowns():
             federation,
             FaultSchedule([BridgeDegradation(1.0, 2.0, "z0", "z0x")]))
     driver = attach_federation_faults(federation, FaultSchedule())
-    with pytest.raises(FaultError, match="already armed"):
+    with pytest.raises(FaultError,
+                       match="^federation fault driver is already armed$"):
         driver.arm()
 
 

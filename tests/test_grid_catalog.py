@@ -1,15 +1,17 @@
 """Catalog + query-planner tests: equivalence, invalidation, determinism.
 
 The planner (:meth:`Query.run`) must return byte-identical results to the
-brute-force scan (:meth:`Query.run_scan`) on any namespace, including after
-moves, removes, metadata updates, and overwrites — the catalog indexes are
-only allowed to make it faster, never different.
+brute-force reference ``scan`` (``benchmarks/_references.py``) on any
+namespace, including after moves, removes, metadata updates, and
+overwrites — the catalog indexes are only allowed to make it faster,
+never different.
 """
 
 import random
 
 import pytest
 
+from benchmarks._references import scan
 from repro.grid import (
     Condition,
     DataObject,
@@ -71,7 +73,7 @@ def random_query(rng: random.Random, ns: LogicalNamespace) -> Query:
 
 def assert_equivalent(query: Query, ns: LogicalNamespace) -> None:
     planned = [o.path for o in query.run(ns)]
-    scanned = [o.path for o in query.run_scan(ns)]
+    scanned = [o.path for o in scan(query, ns)]
     assert planned == scanned, (
         f"planner diverged from scan for {query}: {planned} != {scanned}")
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from benchmarks._references import GlobalRecomputeTransferService, full_rates
 from repro.network import Topology, TransferService
 from repro.sim import Environment
 from repro.storage import MB
@@ -244,12 +245,12 @@ def random_scenario(rng):
     return spec, plan
 
 
-def run_scenario(spec, plan, incremental, check_rates=False):
+def run_scenario(spec, plan, service_type, check_rates=False):
     env = Environment()
     topo = Topology()
     for a, b, latency, bandwidth in spec:
         topo.connect(a, b, latency, bandwidth)
-    svc = TransferService(env, topo, incremental=incremental)
+    svc = service_type(env, topo)
 
     def starter():
         events = []
@@ -265,11 +266,11 @@ def run_scenario(spec, plan, incremental, check_rates=False):
         if check_rates:
             # The affected-set engine must agree with a from-scratch
             # global recomputation at every instant, exactly.
-            for transfer, expected in svc._rates_full().items():
+            for transfer, expected in full_rates(svc).items():
                 assert transfer.rate == expected
-            # ... equivalently, the reference recompute must be a no-op.
+            # ... equivalently, a global re-rate must be a no-op.
             before = {t: t.rate for t in svc._active}
-            svc._recompute_rates_full()
+            svc._apply_rates(svc._active)
             assert {t: t.rate for t in svc._active} == before
     env.run()
     return sorted((s.src, s.dst, s.nbytes, s.start_time, s.end_time)
@@ -280,7 +281,8 @@ def test_affected_set_rates_match_full_recompute_randomized():
     rng = random.Random(0xDA7A)
     for _ in range(3):
         spec, plan = random_scenario(rng)
-        incremental = run_scenario(spec, plan, True, check_rates=True)
-        reference = run_scenario(spec, plan, False)
+        incremental = run_scenario(spec, plan, TransferService,
+                                   check_rates=True)
+        reference = run_scenario(spec, plan, GlobalRecomputeTransferService)
         # Completion times are bit-identical, not merely approximate.
         assert incremental == reference
