@@ -5,9 +5,10 @@ hazards; this module catches the *semantic* ones the batched kernel made
 possible: workload code whose outcome silently depends on the arbitrary
 eid tie-break between events that share a timestamp.
 
-Two cooperating modes, both driven through kernel hooks
-(:meth:`~repro.sim.kernel.Environment` dispatches via
-``_step_batch_sanitized`` while a sanitizer is attached):
+Two cooperating modes, both driven from the sanitizer's own copy of the
+kernel's batch drain (:meth:`ScheduleSanitizer.step_batch`, which
+:class:`~repro.sim.kernel.Environment` runs in place of its hot loop
+while a sanitizer is attached):
 
 * **Race detection** (always on while attached): shared containers on
   registered subsystem objects are replaced with tracked proxies
@@ -42,6 +43,7 @@ import hashlib
 import random
 from collections import deque
 from dataclasses import dataclass, replace
+from heapq import heappop
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import AnalysisError
@@ -143,11 +145,19 @@ class ScheduleRace:
 
 
 def _item_key(key: Any) -> str:
-    """A stable per-run label for one dict/set element."""
-    if key is None or isinstance(key, (str, int, float, bool, tuple)):
+    """A stable per-run label for one dict/set element.
+
+    Equal sets get one label (their sorted element labels), so a key like
+    a link's ``frozenset`` of end names is the same item whichever object
+    carries it.
+    """
+    if isinstance(key, (set, frozenset)):
+        text = "{" + ", ".join(sorted(_item_key(item) for item in key)) + "}"
+    elif key is None or isinstance(key, (str, int, float, bool, tuple)):
         text = repr(key)
-        return text if len(text) <= 60 else text[:57] + "..."
-    return f"{type(key).__name__}@{id(key):#x}"
+    else:
+        return f"{type(key).__name__}@{id(key):#x}"
+    return text if len(text) <= 60 else text[:57] + "..."
 
 
 class TrackedDict(dict):
@@ -503,9 +513,9 @@ class ScheduleSanitizer:
         env.run()
         for race in san.races: ...
 
-    While attached, the kernel dispatches through
-    ``_step_batch_sanitized``; with ``permute=False`` the dispatch order
-    is bit-identical to the normal hot loop.
+    While attached, the kernel dispatches through :meth:`step_batch`;
+    with ``permute=False`` the dispatch order is bit-identical to the
+    normal hot loop.
     """
 
     def __init__(self, config: Optional[SanitizeConfig] = None) -> None:
@@ -645,17 +655,53 @@ class ScheduleSanitizer:
         streams.spawn = spawn
         return streams
 
-    # -- kernel hooks ------------------------------------------------------
+    # -- the sanitized drain -------------------------------------------------
 
-    def begin_batch(self, now: float, ready_urgent: list,
-                    ready_normal: list) -> None:
-        """One timestamp's drain is starting; seed the ready pools."""
+    def step_batch(self) -> bool:
+        """The kernel's ``_step_batch`` drain, with the sanitizer in it.
+
+        While attached, ``Environment`` runs this instead of its hot
+        loop (the choice is made once per ``run()``/``step()`` call, so
+        the hot loop itself carries no per-event hook). Same three-lane
+        semantics, restructured so the sanitizer sees the whole
+        same-timestamp *ready pool*: the urgent FIFO, the heap's
+        same-time entries (already in eid order) and the current FIFO
+        are pre-drained into two local pools, and each dispatch is
+        chosen from its pool — index 0 (the non-permuting default)
+        reproduces the normal dispatch order bit-for-bit, because pool
+        order is exactly heap-eid order, then FIFO order, then arrival
+        order, with the urgent pool always preferred. Events scheduled
+        mid-batch are absorbed after each dispatch with a scheduled-by
+        edge recorded, which is the happens-before relation race
+        detection and legal permutation both respect. On an escaping
+        exception the undrained remainder is pushed back onto the lanes
+        so no event is lost. Returns False when nothing live remains.
+        """
+        env = self.env
+        urgent = env._urgent
+        current = env._current
+        queue = env._queue
+        if not urgent and not current:
+            env._skip_stale()
+            if not queue:
+                return False
+            env._now = queue[0][0]
+        now = env._now
+        ready_urgent = list(urgent)
+        urgent.clear()
+        ready_normal = []
+        while queue and queue[0][0] == now:  # dgf: noqa[DGF004]: intentional exact identity — same batch-membership contract as Environment._step_batch
+            ready_normal.append(heappop(queue)[3])
+        ready_normal.extend(current)
+        current.clear()
+        # Open the batch: every event already ready has no in-batch
+        # ancestor.
         self.batches += 1
         self._batch_time = now
-        self._labels = []
-        self._anc = []
-        self._prio = []
-        self._pending = {}
+        labels = self._labels = []
+        anc = self._anc = []
+        prio = self._prio = []
+        pending = self._pending = {}
         self._acc = {}
         self._seen_acc = set()
         self._cur = None
@@ -663,15 +709,56 @@ class ScheduleSanitizer:
         self._permute_this = False
         root = frozenset()
         for event in ready_urgent:
-            self._pending[id(event)] = (root, 0)
+            pending[id(event)] = (root, 0)
         for event in ready_normal:
-            self._pending[id(event)] = (root, 1)
+            pending[id(event)] = (root, 1)
+        try:
+            while ready_urgent or ready_normal:
+                pool = ready_urgent if ready_urgent else ready_normal
+                event = pool.pop(self._pick(pool) if len(pool) > 1 else 0)
+                callbacks = event.callbacks
+                if callbacks is None or (
+                        event._maybe_stale and event._when != now):  # dgf: noqa[DGF004]: intentional exact identity — same staleness contract as Environment._skip_stale
+                    continue
+                event.callbacks = None
+                # Label the dispatch; accesses noted while its callbacks
+                # run are attributed to it (``_cur``).
+                index = len(labels)
+                ancestors, priority = pending.pop(id(event), (root, 1))
+                label = _event_label(event, callbacks)
+                labels.append(label)
+                anc.append(ancestors)
+                prio.append(priority)
+                self._cur = index
+                if self._recording:
+                    self.recorded_batch.append(label)
+                for callback in callbacks:
+                    callback(event)
+                # Whatever it scheduled at this timestamp descends from it.
+                if urgent or current:
+                    spawned_by = ancestors | {index}
+                    for child in urgent:
+                        pending[id(child)] = (spawned_by, 0)
+                    for child in current:
+                        pending[id(child)] = (spawned_by, 1)
+                    ready_urgent.extend(urgent)
+                    urgent.clear()
+                    ready_normal.extend(current)
+                    current.clear()
+                self._cur = None
+                if not event._ok and not getattr(event, "defused", True):
+                    raise event._value
+        finally:
+            if ready_urgent:
+                urgent.extendleft(reversed(ready_urgent))
+            if ready_normal:
+                current.extendleft(reversed(ready_normal))
+            self._end_batch()
+        return True
 
-    def pick(self, pool: list) -> int:
-        """Index of the next event to dispatch from ``pool``."""
-        n = len(pool)
-        if n <= 1:
-            return 0
+    def _pick(self, pool: list) -> int:
+        """Index of the next event to dispatch from a ``pool`` that
+        offers a choice (two or more ready events)."""
         if not self._counted:
             self._counted = True
             self.choice_batches += 1
@@ -689,33 +776,8 @@ class ScheduleSanitizer:
         if not self._permute_this:
             return 0
         if self.config.order == "reverse":
-            return n - 1
-        return self._rng.randrange(n)
-
-    def on_dispatch(self, event: Any, callbacks: list) -> None:
-        """``event`` is about to run its callbacks."""
-        index = len(self._labels)
-        ancestors, priority = self._pending.pop(id(event), (frozenset(), 1))
-        label = _event_label(event, callbacks)
-        self._labels.append(label)
-        self._anc.append(ancestors)
-        self._prio.append(priority)
-        self._cur = index
-        if self._recording:
-            self.recorded_batch.append(label)
-
-    def on_spawned(self, children, priority: int) -> None:
-        """Events the current dispatch scheduled at this timestamp."""
-        current = self._cur
-        if current is None:
-            return
-        ancestors = self._anc[current] | {current}
-        for child in children:
-            self._pending[id(child)] = (ancestors, priority)
-
-    def after_dispatch(self) -> None:
-        """Kernel hook: the current event's cascade is fully absorbed."""
-        self._cur = None
+            return len(pool) - 1
+        return self._rng.randrange(len(pool))
 
     # -- access recording --------------------------------------------------
 
@@ -743,7 +805,7 @@ class ScheduleSanitizer:
 
     # -- batch analysis ----------------------------------------------------
 
-    def end_batch(self) -> None:
+    def _end_batch(self) -> None:
         """Close the batch: find conflicts, emit telemetry, reset."""
         new_races: List[ScheduleRace] = []
         anc = self._anc

@@ -219,15 +219,16 @@ def _cmd_telemetry(args) -> int:
     from repro.grid.events import EventKind
     from repro.dgl.model import Operation
     from repro.telemetry import (
+        attach_telemetry,
         histogram_summaries,
-        instrument_scenario,
         write_jsonl,
         write_prometheus,
     )
     from repro.triggers import DatagridTrigger, TriggerManager
 
     scenario, user, flow = _demo_deployment(args.scenario, args.files)
-    telemetry = instrument_scenario(scenario)
+    telemetry = attach_telemetry(scenario.env, server=scenario.server,
+                                 dgms=scenario.dgms)
     # An audit trigger so the run exercises the trigger manager too: note
     # every replica change (the action is a no-op log flow).
     manager = TriggerManager(scenario.dgms, server=scenario.server)

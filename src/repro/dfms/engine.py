@@ -150,7 +150,7 @@ class FlowEngine:
         t = self.env.telemetry
         # Spans are parented explicitly: each _run_* level holds its own
         # span in a local and passes it down as the children's parent
-        # (Tracer.begin/finish — no context-stack bookkeeping).
+        # (Tracer.begin/finish).
         span = None if t is None else t.tracer.begin(
             "execution", None,
             {"request_id": execution.request_id,

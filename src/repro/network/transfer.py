@@ -42,6 +42,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.errors import NetworkError, TransferInterrupted
 from repro.network.topology import Link, Topology
 from repro.sim.kernel import Environment, Event, Timeout
+from repro.telemetry.events import transfer_fields
 
 __all__ = ["TransferService", "TransferStats"]
 
@@ -231,7 +232,7 @@ class TransferService:
             if recorder is not None:
                 # The flight recorder cannot defer: a crash dump must
                 # already hold the completion.
-                recorder.record_transfer(stats)
+                recorder.record("net.transfer", transfer_fields(stats))
         done.succeed(stats)
 
     def _interrupt(self, transfer: _ActiveTransfer, link: Link) -> None:

@@ -471,8 +471,8 @@ class Environment:
         self._lifetimes: Optional[list] = None
         #: Attached schedule sanitizer (duck-typed — the kernel imports
         #: nothing from repro.analysis). While set, run()/step() dispatch
-        #: through ``_step_batch_sanitized``; the check happens once per
-        #: run()/step() call, so detached runs pay nothing per event.
+        #: through its ``step_batch`` drain instead of ``_step_batch``;
+        #: see ``_drain``.
         self._sanitizer = None
 
     # -- clock ------------------------------------------------------------
@@ -630,78 +630,13 @@ class Environment:
             if not event._ok and not getattr(event, "defused", True):
                 raise event._value
 
-    def _step_batch_sanitized(self) -> bool:
-        """The ``_step_batch`` drain, routed through an attached sanitizer.
-
-        Same three-lane semantics as the hot loop, restructured so the
-        sanitizer sees the whole same-timestamp *ready pool*: the urgent
-        FIFO, the heap's same-time entries (already in eid order), and
-        the current FIFO are pre-drained into two local pools, and each
-        dispatch is chosen by :meth:`sanitizer.pick` — index 0 (the
-        non-permuting default) reproduces the normal dispatch order
-        bit-for-bit, because pool order is exactly heap-eid order, then
-        FIFO order, then arrival order, with the urgent pool always
-        preferred. Events scheduled mid-batch are absorbed after each
-        dispatch with a scheduled-by edge recorded, which is the
-        happens-before relation race detection and legal permutation
-        both respect. On an escaping exception the undrained remainder
-        is pushed back onto the lanes so no event is lost.
-        """
-        san = self._sanitizer
-        urgent = self._urgent
-        current = self._current
-        queue = self._queue
-        if not urgent and not current:
-            self._skip_stale()
-            if not queue:
-                return False
-            self._now = queue[0][0]
-        now = self._now
-        ready_urgent = list(urgent)
-        urgent.clear()
-        ready_normal = []
-        while queue and queue[0][0] == now:  # dgf: noqa[DGF004]: intentional exact identity — same batch-membership contract as _step_batch
-            ready_normal.append(heappop(queue)[3])
-        ready_normal.extend(current)
-        current.clear()
-        san.begin_batch(now, ready_urgent, ready_normal)
-        try:
-            while ready_urgent or ready_normal:
-                pool = ready_urgent if ready_urgent else ready_normal
-                event = pool.pop(san.pick(pool))
-                callbacks = event.callbacks
-                if callbacks is None or (
-                        event._maybe_stale and event._when != now):  # dgf: noqa[DGF004]: intentional exact identity — same staleness contract as _skip_stale
-                    continue
-                event.callbacks = None
-                san.on_dispatch(event, callbacks)
-                for callback in callbacks:
-                    callback(event)
-                if urgent:
-                    san.on_spawned(urgent, 0)
-                    ready_urgent.extend(urgent)
-                    urgent.clear()
-                if current:
-                    san.on_spawned(current, 1)
-                    ready_normal.extend(current)
-                    current.clear()
-                san.after_dispatch()
-                if not event._ok and not getattr(event, "defused", True):
-                    raise event._value
-        finally:
-            if ready_urgent:
-                urgent.extendleft(reversed(ready_urgent))
-            if ready_normal:
-                current.extendleft(reversed(ready_normal))
-            san.end_batch()
-        return True
-
-    @property
-    def sanitizer(self):
-        """Attached :class:`repro.analysis.sanitizer.ScheduleSanitizer`,
-        or None (the default). Attach/detach through the sanitizer's own
-        methods, which keep both sides consistent."""
-        return self._sanitizer
+    def _drain(self) -> Callable[[], bool]:
+        """The batch drain ``run()``/``step()`` use: the hot loop, or the
+        attached sanitizer's instrumented copy of it. Resolved once per
+        call (never stored on the environment), so a detached run pays
+        nothing per event."""
+        sanitizer = self._sanitizer
+        return self._step_batch if sanitizer is None else sanitizer.step_batch
 
     def peek(self) -> float:
         """Time of the next live scheduled event, or ``inf`` if none."""
@@ -718,9 +653,7 @@ class Environment:
         same timestamp), not a single event: "one step" is one clock
         value. Raises :class:`SimStopped` when nothing live remains.
         """
-        step = (self._step_batch if self._sanitizer is None
-                else self._step_batch_sanitized)
-        if not step():
+        if not self._drain()():
             raise SimStopped("no more events")
 
     def run(self, until: Optional[float] = None) -> None:
@@ -729,8 +662,7 @@ class Environment:
         When ``until`` is given, the clock is advanced exactly to it even if
         the queue drains earlier.
         """
-        step = (self._step_batch if self._sanitizer is None
-                else self._step_batch_sanitized)
+        step = self._drain()
         if until is not None:
             if until < self._now:
                 raise SimError(f"until={until} is in the past (now={self._now})")
@@ -751,8 +683,7 @@ class Environment:
         raised instead of an opaque "no more events".
         """
         proc = self.process(generator)
-        step = (self._step_batch if self._sanitizer is None
-                else self._step_batch_sanitized)
+        step = self._drain()
         while proc.is_alive:
             if not step():
                 name = getattr(proc._generator, "__name__", None) or repr(proc)

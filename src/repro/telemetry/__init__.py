@@ -8,9 +8,9 @@ structured event log — all clocked on the simulation's virtual time so
 telemetry is exactly as deterministic as the run it observes — plus
 Prometheus-text and JSONL exporters.
 
-Telemetry is opt-in: nothing is recorded until
-:func:`attach_telemetry` (or :func:`instrument_scenario`) hangs a
-:class:`Telemetry` session off the environment. Instrumented subsystems —
+Telemetry is opt-in: nothing is recorded until :func:`attach_telemetry`
+hangs a :class:`Telemetry` session off the environment. Instrumented
+subsystems —
 the sim kernel, DfMS engine, ILM manager, trigger manager, network
 transfer service, and catalog query planner — each guard on the session's
 absence, so the disabled mode costs one branch per instrumentation point.
@@ -41,7 +41,6 @@ from repro.telemetry.instrument import (
     Observability,
     attach_observability,
     attach_telemetry,
-    instrument_scenario,
 )
 from repro.telemetry.metrics import (
     Counter,
@@ -67,6 +66,5 @@ __all__ = [
     "SLOEngine", "Alert", "default_probes", "fault_coverage",
     "prometheus_text", "jsonl_lines", "write_prometheus", "write_jsonl",
     "histogram_summaries",
-    "attach_telemetry", "instrument_scenario",
-    "attach_observability", "Observability",
+    "attach_telemetry", "attach_observability", "Observability",
 ]

@@ -21,7 +21,12 @@ from __future__ import annotations
 from functools import partial
 from typing import List, Tuple
 
-from repro.telemetry.events import EventLog, TelemetryRecord
+from repro.telemetry.events import (
+    EventLog,
+    TelemetryRecord,
+    engine_fields,
+    transfer_fields,
+)
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracing import Tracer
 
@@ -37,7 +42,7 @@ class Telemetry:
         # Python frame per timestamp, unlike a lambda.
         clock = partial(getattr, env, "_now")
         self.metrics = MetricsRegistry(clock)
-        self.tracer = Tracer(clock, env)
+        self.tracer = Tracer(clock)
         self.log = EventLog(clock)
 
         # -- sim kernel: derived from its own bookkeeping at collect() ----
@@ -188,7 +193,7 @@ class Telemetry:
         #: Attached :class:`~repro.telemetry.recorder.FlightRecorder`
         #: (None by default; set by ``attach_observability``). The kernel
         #: reaches it duck-typed via ``getattr`` on deadlock, and the
-        #: transfer service tees completions into it when present.
+        #: transfer service appends completions to it when present.
         self.recorder = None
         #: Attached :class:`~repro.telemetry.slo.SLOEngine`, or None.
         self.slo = None
@@ -250,11 +255,9 @@ class Telemetry:
             counter, log_kind = cached
             counter.value += 1.0
             counter.last_updated = time
-            fields = {"request_id": request_id, "key": instance_key}
-            if detail:
-                fields.update(detail)
-            records.append(
-                tuple.__new__(TelemetryRecord, (time, log_kind, fields)))
+            records.append(tuple.__new__(TelemetryRecord, (
+                time, log_kind,
+                engine_fields(request_id, instance_key, detail))))
         del pending[:]
 
     def _fold_net_transfers(self) -> None:
@@ -269,22 +272,17 @@ class Telemetry:
         samples = self.net_transfer_duration.samples
         for stats in pending:
             now = stats.end_time
-            duration = stats.duration
             if stats.hops:
                 wan.value += 1.0
                 wan.last_updated = now
                 moved.value += stats.nbytes
                 moved.last_updated = now
-                samples.append((now, duration))
+                samples.append((now, stats.duration))
             else:
                 local.value += 1.0
                 local.last_updated = now
             records.append(tuple.__new__(TelemetryRecord, (
-                now, "net.transfer",
-                {"src": stats.src, "dst": stats.dst,
-                 "nbytes": stats.nbytes, "hops": stats.hops,
-                 "links": list(stats.route),
-                 "duration": duration})))
+                now, "net.transfer", transfer_fields(stats))))
         del pending[:]
 
     # -- export-time folding -------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, NamedTuple
 
-__all__ = ["TelemetryRecord", "EventLog"]
+__all__ = ["TelemetryRecord", "EventLog", "engine_fields", "transfer_fields"]
 
 
 class TelemetryRecord(NamedTuple):
@@ -37,8 +37,9 @@ class EventLog:
         self._clock = clock
         self.records: List[TelemetryRecord] = []
         #: Attached :class:`~repro.telemetry.recorder.FlightRecorder`, or
-        #: None (the default). When set, every emit tees one ring entry —
-        #: a single attribute load and branch on the emit path otherwise.
+        #: None (the default). When set, every emit also appends one ring
+        #: entry — a single attribute load and branch on the emit path
+        #: otherwise.
         self.recorder = None
 
     def emit(self, kind: str, **fields: object) -> TelemetryRecord:
@@ -47,7 +48,7 @@ class EventLog:
         self.records.append(record)
         recorder = self.recorder
         if recorder is not None:
-            recorder.capture(record)
+            recorder.record(kind, fields)
         return record
 
     def of_kind(self, kind: str) -> List[TelemetryRecord]:
@@ -56,3 +57,26 @@ class EventLog:
 
     def __len__(self) -> int:
         return len(self.records)
+
+
+def engine_fields(request_id: str, key: str,
+                  detail: Dict[str, object]) -> Dict[str, object]:
+    """Fields of one ``engine.<kind>`` record.
+
+    The flight recorder appends engine progress live and the telemetry
+    session folds it into the log at export time; both build the record
+    through here.
+    """
+    fields: Dict[str, object] = {"request_id": request_id, "key": key}
+    if detail:
+        fields.update(detail)
+    return fields
+
+
+def transfer_fields(stats) -> Dict[str, object]:
+    """Fields of one ``net.transfer`` record for a completed
+    :class:`~repro.network.transfer.TransferStats` (recorder append and
+    export-time fold alike)."""
+    return {"src": stats.src, "dst": stats.dst, "nbytes": stats.nbytes,
+            "hops": stats.hops, "links": list(stats.route),
+            "duration": stats.duration}

@@ -6,8 +6,8 @@ Instrumentation points live inside each subsystem, guarded on
 * :func:`attach_telemetry` — create a session on one environment and
   (optionally) subscribe it to a DfMS server's engine event bus and a
   DGMS's namespace, covering all six instrumented subsystems.
-* :func:`instrument_scenario` — one-call convenience for the workload
-  scenario builders.
+* :func:`attach_observability` — the same, plus the flight recorder and
+  the SLO engine.
 
 Nothing here (or anywhere) turns telemetry on implicitly: the default is
 no session at all, and the instrumentation guards keep that default
@@ -21,8 +21,7 @@ from typing import NamedTuple, Optional
 
 from repro.telemetry.core import Telemetry
 
-__all__ = ["attach_telemetry", "instrument_scenario",
-           "attach_observability", "Observability"]
+__all__ = ["attach_telemetry", "attach_observability", "Observability"]
 
 
 def attach_telemetry(env, server=None, dgms=None) -> Telemetry:
@@ -49,12 +48,6 @@ def attach_telemetry(env, server=None, dgms=None) -> Telemetry:
     return telemetry
 
 
-def instrument_scenario(scenario) -> Telemetry:
-    """Attach telemetry to a :class:`~repro.workloads.scenarios.Scenario`."""
-    return attach_telemetry(scenario.env, server=scenario.server,
-                            dgms=scenario.dgms)
-
-
 class Observability(NamedTuple):
     """The full observability stack attached to one environment."""
 
@@ -70,7 +63,7 @@ def attach_observability(env, server=None, dgms=None,
     """Attach telemetry plus the flight recorder and SLO engine.
 
     Builds (or reuses) the telemetry session, hangs a
-    :class:`~repro.telemetry.recorder.FlightRecorder` off it (teeing the
+    :class:`~repro.telemetry.recorder.FlightRecorder` off it (fed by the
     event log and, when a ``server`` is given, the engine listener bus),
     and constructs an :class:`~repro.telemetry.slo.SLOEngine` over the
     same session. Both are strictly read-only over the simulation —

@@ -7,11 +7,12 @@ the crash. The flight recorder is the black box instead: a fixed-size
 ring of the most recent :class:`FlightRecord` entries, each stamped with
 a monotonic sequence number, the sim time, the span context of the
 process that produced it (so records link back into the trace tree), and
-the producing process's name. It is fed from three taps:
+the producing process's name. :meth:`FlightRecorder.record` is the one
+append; three producers feed it:
 
 * the structured :class:`~repro.telemetry.events.EventLog` — every
   ``emit`` (faults, recovery actions, interrupted transfers, ILM and
-  trigger decisions) tees one record into the ring;
+  trigger decisions) appends one record;
 * the engine listener bus — execution/flow/step progress events, which
   the telemetry session otherwise defers to export time;
 * the transfer service — completed transfers, recorded at completion.
@@ -35,6 +36,8 @@ from __future__ import annotations
 import json
 from collections import deque
 from typing import Dict, List, NamedTuple, Optional
+
+from repro.telemetry.events import engine_fields
 
 __all__ = ["FlightRecord", "FlightRecorder"]
 
@@ -61,7 +64,7 @@ class FlightRecorder:
 
     Construct via
     :func:`~repro.telemetry.instrument.attach_observability`, which wires
-    the event-log tee and the engine listener; the recorder itself only
+    the event log and the engine listener; the recorder itself only
     needs the :class:`~repro.telemetry.core.Telemetry` session.
     """
 
@@ -79,45 +82,26 @@ class FlightRecorder:
         self.last_dump_reason: Optional[str] = None
         self.dump_count = 0
 
-    # -- context -----------------------------------------------------------
+    # -- the append ----------------------------------------------------------
 
-    def _span_context(self):
-        """(span_id, process_name) of the currently active sim process.
+    def record(self, kind: str, fields: Dict[str, object]) -> None:
+        """Append one record at the current sim time.
 
-        Reads the engine-pinned ``Process._tspan`` first (the explicit-
-        parent fast path), falling back to the tracer's context stack, so
-        records produced inside an operation handler link to the step
-        span that spawned it.
+        The record carries the span pinned on the active sim process
+        (``Process._tspan``), so a record produced inside an operation
+        handler links to the step span that spawned it.
         """
         active = self.env._active_process
         if active is None:
-            return None, ""
-        span = active._tspan
-        if span is None:
-            stack = self.telemetry.tracer._stacks.get(id(active))
-            if stack:
-                span = stack[-1]
-        name = getattr(active._generator, "__name__", "") or ""
-        return (None if span is None else span.span_id), name
-
-    # -- taps --------------------------------------------------------------
-
-    def record(self, kind: str, fields: Dict[str, object]) -> None:
-        """Append one record at the current sim time."""
-        span_id, process = self._span_context()
+            span_id, process = None, ""
+        else:
+            span = active._tspan
+            span_id = None if span is None else span.span_id
+            process = getattr(active._generator, "__name__", "") or ""
         seq = self._seq
         self._seq = seq + 1
         self.ring.append(tuple.__new__(FlightRecord, (
             seq, self.env._now, kind, span_id, process, fields)))
-
-    def capture(self, record) -> None:
-        """EventLog tee: mirror one already-built telemetry record."""
-        span_id, process = self._span_context()
-        seq = self._seq
-        self._seq = seq + 1
-        self.ring.append(tuple.__new__(FlightRecord, (
-            seq, record.time, record.kind, span_id, process,
-            record.fields)))
 
     def engine_listener(self, kind, execution, instance_key, time,
                         detail) -> None:
@@ -126,21 +110,8 @@ class FlightRecorder:
         The telemetry session defers these to export time; the recorder
         cannot (a crash dump must already hold them), so it appends live.
         """
-        fields = {"request_id": execution.request_id, "key": instance_key}
-        if detail:
-            fields.update(detail)
-        span_id, process = self._span_context()
-        seq = self._seq
-        self._seq = seq + 1
-        self.ring.append(tuple.__new__(FlightRecord, (
-            seq, time, f"engine.{kind}", span_id, process, fields)))
-
-    def record_transfer(self, stats) -> None:
-        """Transfer-service tee: one record per completed transfer."""
-        self.record("net.transfer", {
-            "src": stats.src, "dst": stats.dst, "nbytes": stats.nbytes,
-            "hops": stats.hops, "links": list(stats.route),
-            "duration": stats.duration})
+        self.record(f"engine.{kind}",
+                    engine_fields(execution.request_id, instance_key, detail))
 
     # -- dumping -----------------------------------------------------------
 

@@ -38,10 +38,7 @@ from repro.ilm.engine import ILMManager
 from repro.ilm.policy import ILMPolicy, PlacementRule
 from repro.sim.rng import RandomStreams
 from repro.storage import MB
-from repro.telemetry.instrument import (
-    attach_observability,
-    instrument_scenario,
-)
+from repro.telemetry.instrument import attach_observability, attach_telemetry
 from repro.workloads.scenarios import cms_scenario
 
 __all__ = ["ChaosReport", "ChaosScenario", "GridChaos", "ObserveReport",
@@ -417,7 +414,8 @@ class GridChaos(ChaosScenario):
         self.env = self.scenario.env
         self.dgms = self.scenario.dgms
         self.grids = [("", self.dgms)]
-        instrument_scenario(self.scenario)
+        attach_telemetry(self.env, server=self.scenario.server,
+                         dgms=self.dgms)
         if self.cache:
             from repro.dfms.cache import attach_cache
             attach_cache(self.dgms)

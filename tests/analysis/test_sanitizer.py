@@ -64,9 +64,9 @@ def test_sanitized_dispatch_is_bit_identical_to_plain():
 def test_detach_restores_the_plain_hot_loop():
     env = Environment()
     sanitizer = ScheduleSanitizer(SanitizeConfig()).attach(env)
-    assert env.sanitizer is sanitizer
+    assert env._sanitizer is sanitizer
     sanitizer.detach()
-    assert env.sanitizer is None
+    assert env._sanitizer is None
     with pytest.raises(AnalysisError):
         # Double-attach on one environment is a caller bug.
         other = ScheduleSanitizer(SanitizeConfig()).attach(env)
@@ -178,6 +178,26 @@ def test_distinct_dict_keys_do_not_race():
              lambda: state.__setitem__("a", 1),
              lambda: state.__setitem__("b", 2))
     assert sanitizer.races == []
+
+
+def test_equal_frozenset_keys_are_one_item():
+    """Link ends are frozensets: two equal ones built separately name the
+    same link, so writes through either must be compared."""
+    from repro.analysis.sanitizer import _item_key
+
+    ends = frozenset(["cern", "fnal"])
+    same_ends = frozenset(["fnal", "cern"])
+    assert ends is not same_ends
+    assert _item_key(ends) == _item_key(same_ends) == "{'cern', 'fnal'}"
+    env = Environment()
+    sanitizer = ScheduleSanitizer(SanitizeConfig()).attach(env)
+    links = sanitizer.track_value("links", {})
+    _run_two(env, sanitizer,
+             lambda: links.__setitem__(frozenset(["cern", "fnal"]), "down"),
+             lambda: links.__setitem__(frozenset(["fnal", "cern"]), "up"))
+    assert [(race.state, race.item, race.kind_pair)
+            for race in sanitizer.races] == [
+                ("links", "{'cern', 'fnal'}", "write-write")]
 
 
 def test_causally_ordered_writes_do_not_race():

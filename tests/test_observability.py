@@ -83,9 +83,15 @@ def test_records_link_to_spans():
     tracer = obs.telemetry.tracer
 
     def worker():
-        with tracer.span("work") as span:
-            obs.telemetry.log.emit("test.inside")
-            yield env.timeout(1.0)
+        # Pin the span on the active process, as the engine does for a
+        # step; records emitted meanwhile carry its id.
+        active = env.active_process
+        span = tracer.begin("work", None, {})
+        active._tspan = span
+        obs.telemetry.log.emit("test.inside")
+        yield env.timeout(1.0)
+        tracer.finish(span)
+        active._tspan = None
         obs.telemetry.log.emit("test.outside")
         return span.span_id
 

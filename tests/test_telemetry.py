@@ -10,6 +10,7 @@ from repro.dgl.model import Operation
 from repro.grid.events import EventKind
 from repro.grid.query import Query, parse_conditions
 from repro.ilm import ILMManager, imploding_star_policy
+from repro.sim.kernel import Environment
 from repro.storage import MB
 from repro.telemetry import (
     EventLog,
@@ -76,26 +77,46 @@ def test_histogram_buckets_and_samples():
 # -- tracer ---------------------------------------------------------------
 
 def test_spans_nest_within_one_context():
-    tracer = Tracer(lambda: 7.0)
-    outer = tracer.start_span("outer", kind="demo")
-    inner = tracer.start_span("inner")
+    env = Environment()
+    tracer = Tracer(lambda: env.now)
+    opened = {}
+
+    def handler():
+        # Work in a spawned process finds its parent on the process the
+        # spawner pinned it on, as the engine's operation handlers do.
+        inner = tracer.begin("inner", env.active_process._tspan, {})
+        opened["inner"] = inner
+        yield env.timeout(1.0)
+        tracer.finish(inner)
+
+    def step():
+        outer = tracer.begin("outer", None, {"kind": "demo"})
+        opened["outer"] = outer
+        child = env.process(handler())
+        child._tspan = outer
+        yield child
+        tracer.finish(outer)
+
+    env.run_process(step())
+    outer, inner = opened["outer"], opened["inner"]
     assert inner.parent_id == outer.span_id
-    tracer.end_span(inner)
-    tracer.end_span(outer)
+    assert outer.parent_id is None and outer.attrs == {"kind": "demo"}
     assert [span.name for span in tracer.finished] == ["inner", "outer"]
-    assert tracer.current_span() is None
-    # Ending twice is a no-op, ids are deterministic.
-    tracer.end_span(outer)
+    assert (inner.start, inner.end, inner.duration) == (0.0, 1.0, 1.0)
+    # Finishing twice is a no-op, ids are deterministic.
+    tracer.finish(outer)
     assert len(tracer.finished) == 2
     assert outer.span_id == 1
 
 
-def test_span_contextmanager_records_errors():
+def test_finish_records_error_status():
     tracer = Tracer(lambda: 0.0)
-    with pytest.raises(RuntimeError):
-        with tracer.span("doomed"):
-            raise RuntimeError("boom")
-    assert tracer.finished[0].status == "error"
+    span = tracer.begin("doomed", None, {})
+    tracer.finish(span, status="error")
+    # The first finish wins: a later ok finish does not mask the error.
+    tracer.finish(span)
+    assert tracer.finished == [span]
+    assert span.status == "error"
 
 
 # -- event log ------------------------------------------------------------

@@ -8,7 +8,7 @@ fault → recovery → terminal causal chain out of a real chaos run.
 
 import json
 
-from repro.telemetry import instrument_scenario, jsonl_lines
+from repro.telemetry import attach_telemetry, jsonl_lines
 from repro.telemetry.trace import (
     build_span_forest,
     causal_trace,
@@ -159,7 +159,8 @@ def test_windowed_export_is_a_subset_in_order():
     from repro.workloads import cms_scenario
 
     scenario = cms_scenario(n_events=2)
-    telemetry = instrument_scenario(scenario)
+    telemetry = attach_telemetry(scenario.env, server=scenario.server,
+                                 dgms=scenario.dgms)
     from repro.dgl import DataGridRequest
     from repro.ilm import exploding_star_flow
 
