@@ -19,12 +19,22 @@ does for the kernel) rather than in the shipped package. Nothing under
 * :class:`FlatReplicaDirectory` — the single flat replica catalog the
   sharded two-tier RLS replaced (E25,
   ``tests/test_federation_rls.py``).
+* :func:`walk_evaluate`, :func:`walk_render_template` and
+  :func:`walk_evaluate_condition` — the DGL expression language as a
+  tree walk over the parsed AST on every evaluation, which the compiled
+  closures of :mod:`repro.dgl.expressions` replaced
+  (``tests/test_property_expressions.py`` asserts both give the same
+  value or the same error).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+import ast
+import re
+from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
 
+from repro.dgl.expressions import Scope
+from repro.errors import ExpressionError
 from repro.federation import ReplicaLocation
 from repro.grid import DataObject, LogicalNamespace, Query
 from repro.network import TransferService
@@ -34,6 +44,9 @@ __all__ = [
     "GlobalRecomputeTransferService",
     "full_rates",
     "scan",
+    "walk_evaluate",
+    "walk_evaluate_condition",
+    "walk_render_template",
 ]
 
 
@@ -106,3 +119,135 @@ class FlatReplicaDirectory:
                 found.append(location)
         self.rows_scanned += scanned
         return tuple(found)
+
+
+# --------------------------------------------------------------------------
+# The DGL expression language as a tree walk
+# --------------------------------------------------------------------------
+
+_BIN_OPS = {
+    ast.Add: lambda a, b: a + b,
+    ast.Sub: lambda a, b: a - b,
+    ast.Mult: lambda a, b: a * b,
+    ast.Div: lambda a, b: a / b,
+    ast.FloorDiv: lambda a, b: a // b,
+    ast.Mod: lambda a, b: a % b,
+    ast.Pow: lambda a, b: a ** b,
+}
+
+_CMP_OPS = {
+    ast.Eq: lambda a, b: a == b,
+    ast.NotEq: lambda a, b: a != b,
+    ast.Lt: lambda a, b: a < b,
+    ast.LtE: lambda a, b: a <= b,
+    ast.Gt: lambda a, b: a > b,
+    ast.GtE: lambda a, b: a >= b,
+    ast.In: lambda a, b: a in b,
+    ast.NotIn: lambda a, b: a not in b,
+}
+
+_CONSTANTS = {"true": True, "false": False, "null": None}
+
+
+def eval_node(node: ast.AST, scope: Union[Scope, Mapping]) -> Any:
+    """Evaluate one whitelisted AST node, walking its children."""
+    if isinstance(node, ast.Expression):
+        return eval_node(node.body, scope)
+    if isinstance(node, ast.Constant):
+        if isinstance(node.value, (str, int, float, bool)) or node.value is None:
+            return node.value
+        raise ExpressionError(f"literal type not allowed: {node.value!r}")
+    if isinstance(node, ast.Name):
+        if node.id in _CONSTANTS:
+            return _CONSTANTS[node.id]
+        if isinstance(scope, Scope):
+            return scope.lookup(node.id)
+        try:
+            return scope[node.id]
+        except KeyError:
+            raise ExpressionError(f"undefined DGL variable {node.id!r}") from None
+    if isinstance(node, ast.BinOp):
+        op = _BIN_OPS.get(type(node.op))
+        if op is None:
+            raise ExpressionError(f"operator not allowed: {ast.dump(node.op)}")
+        return op(eval_node(node.left, scope), eval_node(node.right, scope))
+    if isinstance(node, ast.UnaryOp):
+        operand = eval_node(node.operand, scope)
+        if isinstance(node.op, ast.USub):
+            return -operand
+        if isinstance(node.op, ast.UAdd):
+            return +operand
+        if isinstance(node.op, ast.Not):
+            return not operand
+        raise ExpressionError(f"unary operator not allowed: {ast.dump(node.op)}")
+    if isinstance(node, ast.BoolOp):
+        values = [eval_node(v, scope) for v in node.values]
+        if isinstance(node.op, ast.And):
+            result = True
+            for value in values:
+                result = result and value
+            return result
+        result = False
+        for value in values:
+            result = result or value
+        return result
+    if isinstance(node, ast.Compare):
+        left = eval_node(node.left, scope)
+        for op_node, comparator in zip(node.ops, node.comparators):
+            op = _CMP_OPS.get(type(op_node))
+            if op is None:
+                raise ExpressionError(f"comparison not allowed: {ast.dump(op_node)}")
+            right = eval_node(comparator, scope)
+            if not op(left, right):
+                return False
+            left = right
+        return True
+    if isinstance(node, ast.IfExp):
+        condition = eval_node(node.test, scope)
+        return eval_node(node.body if condition else node.orelse, scope)
+    if isinstance(node, ast.Subscript):
+        container = eval_node(node.value, scope)
+        index = eval_node(node.slice, scope)
+        try:
+            return container[index]
+        except (KeyError, IndexError, TypeError) as exc:
+            raise ExpressionError(f"bad subscript: {exc}") from None
+    if isinstance(node, (ast.List, ast.Tuple)):
+        return [eval_node(item, scope) for item in node.elts]
+    raise ExpressionError(f"syntax not allowed in DGL expressions: "
+                          f"{type(node).__name__}")
+
+
+def walk_evaluate(expression: str, scope: Union[Scope, Mapping]) -> Any:
+    """Parse ``expression`` and walk its tree (no ``${}`` wrapper)."""
+    try:
+        tree = ast.parse(expression.strip(), mode="eval")
+    except SyntaxError as exc:
+        raise ExpressionError(f"cannot parse expression {expression!r}: {exc}") from None
+    return eval_node(tree, scope)
+
+
+_TEMPLATE_RE = re.compile(r"\$\{([^{}]*)\}")
+
+
+def walk_render_template(template: Any, scope: Union[Scope, Mapping]) -> Any:
+    """Expand ``${...}`` in ``template``, re-parsing every occurrence."""
+    if not isinstance(template, str):
+        return template
+    full = _TEMPLATE_RE.fullmatch(template.strip())
+    if full is not None:
+        return walk_evaluate(full.group(1), scope)
+
+    def _sub(match: re.Match) -> str:
+        return str(walk_evaluate(match.group(1), scope))
+
+    return _TEMPLATE_RE.sub(_sub, template)
+
+
+def walk_evaluate_condition(condition: str,
+                            scope: Union[Scope, Mapping]) -> Any:
+    """Evaluate a tcondition, bare or ``${...}``-wrapped."""
+    condition = condition.strip()
+    if _TEMPLATE_RE.fullmatch(condition):
+        return walk_render_template(condition, scope)
+    return walk_evaluate(condition, scope)

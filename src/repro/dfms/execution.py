@@ -48,6 +48,10 @@ class FlowExecution:
                  virtual_organization: str, env: Environment) -> None:
         self.request_id = request_id
         self.flow = flow
+        #: The :class:`~repro.dfms.engine.FlowPlan` the engine runs:
+        #: compiled at admission, or by the engine when a restored
+        #: execution starts without one; dropped once the run ends.
+        self.plan = None
         self.user_name = user_name
         self.virtual_organization = virtual_organization
         self.env = env

@@ -30,7 +30,7 @@ from repro.errors import DfMSError, UnknownRequestError
 from repro.dfms.bindings import bind_default_operations
 from repro.dfms.compute import ComputeResource
 from repro.dfms.context import ExecutionContext
-from repro.dfms.engine import MAX_NESTING_DEPTH, FlowEngine
+from repro.dfms.engine import MAX_NESTING_DEPTH, FlowEngine, FlowPlan
 from repro.dfms.execution import FlowExecution
 from repro.dfms.idl import InfrastructureDescription
 from repro.dfms.scheduler.cost import CostModel, CostWeights
@@ -127,13 +127,14 @@ class DfMSServer:
                 request_id=request_id, state=ExecutionState.FAILED,
                 valid=False, message=message))
 
-    def _start_execution(self, request: DataGridRequest,
-                         request_id: str) -> FlowExecution:
+    def _start_execution(self, request: DataGridRequest, request_id: str,
+                         plan: FlowPlan) -> FlowExecution:
         user = self.dgms.users.get(request.user)
         execution = FlowExecution(
             request_id=request_id, flow=request.body,
             user_name=request.user,
             virtual_organization=request.virtual_organization, env=self.env)
+        execution.plan = plan
         ctx = ExecutionContext(env=self.env, dgms=self.dgms, user=user,
                                scope=Scope(), execution=execution,
                                server=self)
@@ -143,23 +144,27 @@ class DfMSServer:
         return execution
 
     def _admit(self, request: DataGridRequest, request_id: str):
-        """Validate and start a flow request. Returns (execution, error)."""
+        """Validate, compile and start a flow request.
+
+        Returns (execution, error). One compile walk yields the plan the
+        engine will run and the unknown-operation, required-parameter and
+        nesting-depth checks.
+        """
         try:
             validate_request(request)
         except DGLValidationError as exc:
             return None, f"invalid DGL document: {exc}"
-        missing = self.registry.missing_operations(request.body)
-        if missing:
-            return None, f"unknown operations: {', '.join(missing)}"
-        problems = self.registry.parameter_problems(request.body)
-        if problems:
-            return None, "; ".join(problems)
-        if request.body.depth() > MAX_NESTING_DEPTH:
-            return None, (f"flow nests {request.body.depth()} levels deep; "
+        plan = self.engine.compile(request.body)
+        if plan.missing:
+            return None, f"unknown operations: {', '.join(plan.missing)}"
+        if plan.problems:
+            return None, "; ".join(plan.problems)
+        if plan.depth > MAX_NESTING_DEPTH:
+            return None, (f"flow nests {plan.depth} levels deep; "
                           f"the engine supports at most {MAX_NESTING_DEPTH}")
         if request.user not in self.dgms.users:
             return None, f"unknown grid user {request.user!r}"
-        return self._start_execution(request, request_id), None
+        return self._start_execution(request, request_id, plan), None
 
     def allocate_request_id(self) -> str:
         """Allocate the next request identifier without admitting anything.

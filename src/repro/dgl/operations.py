@@ -16,10 +16,10 @@ run as a simulation process (timed operations).
 from __future__ import annotations
 
 import inspect
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import UnknownOperationError
-from repro.dgl.model import Flow, Step
+from repro.dgl.model import Flow, Operation, Step
 
 __all__ = ["OperationHandler", "OperationRegistry"]
 
@@ -68,6 +68,10 @@ class OperationRegistry:
                 f"unknown operation {name!r} "
                 f"(registered: {sorted(self._handlers)})") from None
 
+    def resolve(self, name: str) -> Optional[OperationHandler]:
+        """The handler for ``name``, or None if none is registered."""
+        return self._handlers.get(name)
+
     def names(self) -> List[str]:
         """Registered operation names, sorted."""
         return sorted(self._handlers)
@@ -77,32 +81,31 @@ class OperationRegistry:
 
     # -- static checking -------------------------------------------------------
 
+    def parameter_problem(self, where: str,
+                          operation: Operation) -> Optional[str]:
+        """The required-parameter violation of one use of an operation.
+
+        ``where`` names the use (``step 'flow/s'``, ``flow 'flow' rule
+        'beforeEntry'``). Unregistered operations have no requirements.
+        """
+        required = self._required_params.get(operation.name)
+        if not required:
+            return None
+        missing = [parameter for parameter in required
+                   if parameter not in operation.parameters]
+        if not missing:
+            return None
+        return (f"{where}: {operation.name} is missing required "
+                f"parameter(s) {', '.join(missing)}")
+
     def missing_operations(self, flow: Flow) -> List[str]:
         """Operation names used anywhere in ``flow`` but not registered.
 
         Covers step operations and rule-action operations, recursively —
         run before execution to fail fast on a typo in a DGL document.
         """
-        missing = set()
-
-        def _check_rules(rules) -> None:
-            for rule in rules:
-                for action in rule.actions:
-                    if action.operation.name not in self:
-                        missing.add(action.operation.name)
-
-        def _walk(node) -> None:
-            if isinstance(node, Step):
-                if node.operation.name not in self:
-                    missing.add(node.operation.name)
-                _check_rules(node.rules)
-                return
-            _check_rules(node.logic.rules)
-            for child in node.children:
-                _walk(child)
-
-        _walk(flow)
-        return sorted(missing)
+        return sorted({operation.name for _, operation in _uses(flow)
+                       if operation.name not in self})
 
     def parameter_problems(self, flow: Flow) -> List[str]:
         """Required-parameter violations anywhere in ``flow``.
@@ -111,38 +114,33 @@ class OperationRegistry:
         operations are :meth:`missing_operations`' job). Rule-action
         operations are checked too.
         """
-        problems: List[str] = []
-
-        def _check_operation(where: str, operation) -> None:
-            required = self._required_params.get(operation.name)
-            if not required:
-                return
-            missing = [parameter for parameter in required
-                       if parameter not in operation.parameters]
-            if missing:
-                problems.append(
-                    f"{where}: {operation.name} is missing required "
-                    f"parameter(s) {', '.join(missing)}")
-
-        def _check_rules(where: str, rules) -> None:
-            for rule in rules:
-                for action in rule.actions:
-                    _check_operation(f"{where} rule {rule.name!r}",
-                                     action.operation)
-
-        def _walk(node, path: str) -> None:
-            if isinstance(node, Step):
-                _check_operation(f"step {path!r}", node.operation)
-                _check_rules(f"step {path!r}", node.rules)
-                return
-            _check_rules(f"flow {path!r}", node.logic.rules)
-            for child in node.children:
-                _walk(child, f"{path}/{child.name}")
-
-        _walk(flow, flow.name)
-        return problems
+        problems = (self.parameter_problem(where, operation)
+                    for where, operation in _uses(flow))
+        return [problem for problem in problems if problem is not None]
 
     @staticmethod
     def is_timed(result: Any) -> bool:
         """True if a handler result is a generator to run in virtual time."""
         return inspect.isgenerator(result)
+
+
+def _uses(flow: Flow) -> Iterator[Tuple[str, Operation]]:
+    """Every operation use in ``flow`` with where it sits, in document
+    order: a flow's rule actions before its children, a step's operation
+    before its rule actions."""
+
+    def _rules(where: str, rules):
+        for rule in rules:
+            for action in rule.actions:
+                yield f"{where} rule {rule.name!r}", action.operation
+
+    def _walk(node, path: str):
+        if isinstance(node, Step):
+            yield f"step {path!r}", node.operation
+            yield from _rules(f"step {path!r}", node.rules)
+            return
+        yield from _rules(f"flow {path!r}", node.logic.rules)
+        for child in node.children:
+            yield from _walk(child, f"{path}/{child.name}")
+
+    return _walk(flow, flow.name)

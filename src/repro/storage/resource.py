@@ -62,13 +62,17 @@ class PhysicalStorageResource:
         self.online = True
         self.stats = StorageStats()
         self._allocations: Dict[str, float] = {}
+        # Running total of _allocations. A write adds to it; a delete
+        # re-sums, so the value stays bit-identical to
+        # sum(_allocations.values()), which adds left to right.
+        self._used = 0
 
     # -- capacity -----------------------------------------------------------
 
     @property
     def used_bytes(self) -> float:
         """Bytes currently allocated."""
-        return sum(self._allocations.values())
+        return self._used
 
     @property
     def free_bytes(self) -> float:
@@ -105,6 +109,7 @@ class PhysicalStorageResource:
                 f"{self.name}: need {nbytes:.0f} B, only {self.free_bytes:.0f} B free")
         self.failures.check(f"write {object_id} on {self.name}")
         self._allocations[object_id] = float(nbytes)
+        self._used += self._allocations[object_id]
         duration = self.model.write_time(nbytes)
         self.stats.writes += 1
         self.stats.bytes_written += nbytes
@@ -128,6 +133,7 @@ class PhysicalStorageResource:
         self.size_of(object_id)  # existence check
         self.failures.check(f"delete {object_id} on {self.name}")
         del self._allocations[object_id]
+        self._used = sum(self._allocations.values())
         self.stats.deletes += 1
         duration = self.model.access_latency_s
         self.stats.busy_seconds += duration

@@ -144,6 +144,26 @@ def test_switch_no_match_no_default_is_noop(dfms):
     assert response.body.finished_at == 0.0
 
 
+def test_bad_expressions_fail_only_where_they_are_evaluated(dfms):
+    # Flows are compiled at admission, but a bad expression still fails
+    # only when evaluated: the unchosen case never fails the flow, the
+    # chosen one fails with the evaluator's message.
+    def choose(mode):
+        return (flow_builder("choose")
+                .variable("mode", mode)
+                .switch("mode")
+                .subflow(flow_builder("good").step("g", "dgl.noop"))
+                .subflow(flow_builder("bad").step(
+                    "b", "dgl.log", message="${mode.upper()}"))
+                .build())
+
+    assert submit(dfms, choose("good")).body.state is ExecutionState.COMPLETED
+    response = submit(dfms, choose("bad"))
+    assert response.body.state is ExecutionState.FAILED
+    assert response.body.error == (
+        "syntax not allowed in DGL expressions: Call")
+
+
 def test_nested_flows_inherit_scope(dfms):
     inner = (flow_builder("inner")
              .step("use", "dgl.set", variable="result",
@@ -245,6 +265,26 @@ def test_on_error_retry_succeeds_after_transient_fault(dfms):
     assert response.body.state is ExecutionState.FAILED
     assert "after 3 attempts" in response.body.children[0].error
     # The retry delays took virtual time: 2 retries x 5 s.
+    assert dfms.env.now == 10.0
+
+
+def test_on_error_retry_parameters_are_templates(dfms):
+    # max and delay render against the error scope like any parameters.
+    step = Step(
+        name="flaky",
+        operation=Operation("dgl.fail", {"message": "transient"}),
+        rules=[UserDefinedRule(
+            name="onError", condition="true",
+            actions=[Action("retry", Operation(
+                "dgl.retry", {"max": "${retries}", "delay": "${gap}"}))])])
+    flow = (flow_builder("templated-retry")
+            .variable("retries", 2)
+            .variable("gap", 5)
+            .add_step(step)
+            .build())
+    response = submit(dfms, flow)
+    assert response.body.state is ExecutionState.FAILED
+    assert "after 3 attempts" in response.body.children[0].error
     assert dfms.env.now == 10.0
 
 

@@ -1,6 +1,8 @@
 """Unit tests for simulated physical storage resources."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import CapacityExceeded, StorageError, StorageFailure
 from repro.sim import RandomStreams
@@ -133,3 +135,20 @@ def test_injector_requires_rng_for_probability():
         FailureInjector(probability=0.1)
     with pytest.raises(ValueError):
         FailureInjector(probability=1.5, rng=RandomStreams(0).stream("x"))
+
+
+@given(st.lists(st.tuples(st.integers(0, 5),
+                          st.floats(0.0, 1e6, allow_nan=False)),
+                max_size=40))
+def test_used_bytes_running_total_equals_a_resum(ops):
+    # Interleaved writes and deletes of float sizes: the running total
+    # must stay bit-identical to summing the allocations afresh.
+    disk = make_disk(capacity=1e12)
+    for slot, size in ops:
+        object_id = f"obj-{slot}"
+        if disk.holds(object_id):
+            disk.delete(object_id)
+        else:
+            disk.write(object_id, size)
+        assert disk.used_bytes == sum(disk._allocations.values())
+        assert disk.free_bytes == disk.capacity_bytes - disk.used_bytes
