@@ -25,16 +25,29 @@ does for the kernel) rather than in the shipped package. Nothing under
   closures of :mod:`repro.dgl.expressions` replaced
   (``tests/test_property_expressions.py`` asserts both give the same
   value or the same error).
+* :func:`reference_admission` — flow admission as three walks (schema
+  validation, the operation and parameter diagnostics over every
+  operation use, then :meth:`~repro.dgl.model.Flow.depth`), which the
+  DfMS server's single compile walk replaced
+  (``tests/test_property_admission.py`` asserts both give the same
+  verdict and the same message).
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
+from typing import (
+    Any, Container, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+    Union,
+)
 
+from repro.dfms.engine import MAX_NESTING_DEPTH
 from repro.dgl.expressions import Scope
-from repro.errors import ExpressionError
+from repro.dgl.model import DataGridRequest, Flow, Operation, Step
+from repro.dgl.operations import OperationRegistry
+from repro.dgl.schema import validate_request
+from repro.errors import DGLValidationError, ExpressionError
 from repro.federation import ReplicaLocation
 from repro.grid import DataObject, LogicalNamespace, Query
 from repro.network import TransferService
@@ -43,6 +56,7 @@ __all__ = [
     "FlatReplicaDirectory",
     "GlobalRecomputeTransferService",
     "full_rates",
+    "reference_admission",
     "scan",
     "walk_evaluate",
     "walk_evaluate_condition",
@@ -251,3 +265,62 @@ def walk_evaluate_condition(condition: str,
     if _TEMPLATE_RE.fullmatch(condition):
         return walk_render_template(condition, scope)
     return walk_evaluate(condition, scope)
+
+
+# --------------------------------------------------------------------------
+# Flow admission as three walks
+# --------------------------------------------------------------------------
+
+def _operation_uses(flow: Flow) -> Iterator[Tuple[str, Operation]]:
+    """Every operation use in ``flow`` with where it sits, in document
+    order: a flow's rule actions before its children, a step's operation
+    before its rule actions."""
+
+    def _rules(where: str, rules):
+        for rule in rules:
+            for action in rule.actions:
+                yield f"{where} rule {rule.name!r}", action.operation
+
+    def _walk(node, path: str):
+        if isinstance(node, Step):
+            yield f"step {path!r}", node.operation
+            yield from _rules(f"step {path!r}", node.rules)
+            return
+        yield from _rules(f"flow {path!r}", node.logic.rules)
+        for child in node.children:
+            yield from _walk(child, f"{path}/{child.name}")
+
+    return _walk(flow, flow.name)
+
+
+def reference_admission(registry: OperationRegistry, users: Container[str],
+                        request: DataGridRequest) -> Optional[str]:
+    """The message a DfMS server rejects a flow ``request`` with, or None
+    if it admits it.
+
+    Checks in order: the schema (:func:`~repro.dgl.schema.validate_request`),
+    unregistered operations, required parameters of registered ones,
+    nesting depth, and the grid user.
+    """
+    try:
+        validate_request(request)
+    except DGLValidationError as exc:
+        return f"invalid DGL document: {exc}"
+    flow = request.body
+    uses = list(_operation_uses(flow))
+    missing = sorted({operation.name for _, operation in uses
+                      if operation.name not in registry})
+    if missing:
+        return f"unknown operations: {', '.join(missing)}"
+    problems = [registry.parameter_problem(where, operation)
+                for where, operation in uses]
+    problems = [problem for problem in problems if problem is not None]
+    if problems:
+        return "; ".join(problems)
+    depth = flow.depth()
+    if depth > MAX_NESTING_DEPTH:
+        return (f"flow nests {depth} levels deep; "
+                f"the engine supports at most {MAX_NESTING_DEPTH}")
+    if request.user not in users:
+        return f"unknown grid user {request.user!r}"
+    return None

@@ -9,8 +9,11 @@ query compilation:
   template, variable value, rule condition and loop/switch/forEach
   expression compiled to closures (:mod:`repro.dgl.expressions`), each
   operation handler resolved, and per step only the reserved rules it
-  has. The same walk collects the admission diagnostics (unknown
-  operations, missing required parameters, nesting depth);
+  has. The same walk is admission's only check of the flow: it raises on
+  the first structural problem (:func:`~repro.dgl.schema.check_flow`,
+  :func:`~repro.dgl.schema.check_step`) and on nesting past
+  :data:`MAX_NESTING_DEPTH`, and collects unknown operations and missing
+  required parameters;
 * **interpret the plan** over the simulation kernel:
 
   * each Flow opens a variable scope and runs its children under its
@@ -77,11 +80,13 @@ from repro.dgl.model import (
     WhileLoop,
 )
 from repro.dgl.operations import OperationRegistry
+from repro.dgl.schema import check_flow, check_step
 from repro.grid.query import Query, parse_conditions
 from repro.sim.kernel import Environment
 from repro.sim.resources import Resource
 
-__all__ = ["FlowEngine", "FlowPlan", "FlowCancelled", "ON_ERROR"]
+__all__ = ["FlowEngine", "FlowPlan", "FlowCancelled", "NestingTooDeep",
+           "ON_ERROR"]
 
 #: Reserved rule name for step fault handling.
 ON_ERROR = "onError"
@@ -90,9 +95,9 @@ ON_ERROR = "onError"
 #: the simulation. Generous relative to any workload in the experiments.
 MAX_LOOP_ITERATIONS = 1_000_000
 
-#: Flow nesting is interpreted with native recursion (a few Python frames
-#: per level), so Python's recursion limit caps practical depth near 200.
-#: Documents are validated against this before execution.
+#: Flow nesting is compiled and interpreted with native recursion (a few
+#: Python frames per level), so Python's recursion limit caps practical
+#: depth near 200. The compile walk refuses to descend past this.
 MAX_NESTING_DEPTH = 150
 
 _RUNNING = ExecutionState.RUNNING
@@ -102,6 +107,15 @@ _COMPLETED = ExecutionState.COMPLETED
 
 class FlowCancelled(ReproError):
     """Internal control-flow signal: the execution was cancelled."""
+
+
+class NestingTooDeep(DGLValidationError):
+    """A flow nests more than :data:`MAX_NESTING_DEPTH` levels deep."""
+
+    def __init__(self) -> None:
+        super().__init__(
+            f"flow nests more than {MAX_NESTING_DEPTH} levels deep; "
+            f"the engine supports at most {MAX_NESTING_DEPTH}")
 
 
 # --------------------------------------------------------------------------
@@ -195,22 +209,18 @@ class _Flow:
 class FlowPlan:
     """A flow compiled for the engine, plus what admission checks.
 
-    ``missing`` lists unregistered operation names (sorted), ``problems``
-    the required-parameter violations in document order, and ``depth``
-    the flow's nesting depth — what
-    :meth:`~repro.dgl.operations.OperationRegistry.missing_operations`,
-    :meth:`~repro.dgl.operations.OperationRegistry.parameter_problems`
-    and :meth:`~repro.dgl.model.Flow.depth` report, from one walk.
+    ``missing`` lists unregistered operation names used by steps or rule
+    actions (sorted), ``problems`` the required-parameter violations of
+    registered ones, in document order.
     """
 
-    __slots__ = ("root", "missing", "problems", "depth")
+    __slots__ = ("root", "missing", "problems")
 
-    def __init__(self, root: _Flow, missing: List[str], problems: List[str],
-                 depth: int) -> None:
+    def __init__(self, root: _Flow, missing: List[str],
+                 problems: List[str]) -> None:
         self.root = root
         self.missing = missing
         self.problems = problems
-        self.depth = depth
 
 
 _NO_RULES: Mapping[str, _Rule] = MappingProxyType({})
@@ -222,7 +232,13 @@ def _is_template(value) -> bool:
 
 
 class _Lowering:
-    """One walk over a flow: builds its plan and collects diagnostics."""
+    """One walk over a flow: checks it, builds its plan and collects
+    diagnostics.
+
+    Structural rules are checked on entry to each flow and step, in
+    pre-order, so the first problem raised is the one
+    :func:`~repro.dgl.schema.validate_flow` would raise.
+    """
 
     def __init__(self, registry: OperationRegistry,
                  compiler: Compiler) -> None:
@@ -271,29 +287,30 @@ class _Lowering:
 
     def step(self, step: Step, path: str) -> _Step:
         where = f"step {path!r}"
+        check_step(step, where)
         operation = self.operation(step.operation, where)
         return _Step(step.name, operation, self.variables(step.variables),
                      step.requirements, step.operation.assign_to,
                      self.rules(step.rules, where))
 
-    def flow(self, flow: Flow, path: str) -> Tuple[_Flow, int]:
-        """The plan of ``flow`` and its nesting depth."""
-        rules = self.rules(flow.logic.rules, f"flow {path!r}")
+    def flow(self, flow: Flow, path: str, level: int) -> _Flow:
+        """The plan of ``flow``, which sits ``level`` flows deep."""
+        if level > MAX_NESTING_DEPTH:
+            raise NestingTooDeep()
+        where = f"flow {path!r}"
+        check_flow(flow, where)
+        rules = self.rules(flow.logic.rules, where)
         children = []
-        depth = 0
         for child in flow.children:
             child_path = f"{path}/{child.name}"
             if isinstance(child, Step):
                 children.append(self.step(child, child_path))
             else:
-                lowered, child_depth = self.flow(child, child_path)
-                children.append(lowered)
-                if child_depth > depth:
-                    depth = child_depth
+                children.append(self.flow(child, child_path, level + 1))
         node = _Flow(flow.name, self.variables(flow.variables), rules,
                      tuple(children))
         self.pattern(node, flow)
-        return node, 1 + depth
+        return node
 
     def pattern(self, node: _Flow, flow: Flow) -> None:
         pattern = flow.logic.pattern
@@ -339,11 +356,16 @@ class FlowEngine:
     # -- public entry -----------------------------------------------------
 
     def compile(self, flow: Flow) -> FlowPlan:
-        """Lower a validated ``flow`` into a plan, in one walk."""
+        """Check ``flow`` and lower it into a plan, in one walk.
+
+        Raises :class:`~repro.errors.DGLValidationError` on the first
+        structural problem, and :class:`NestingTooDeep` (a subclass) on
+        reaching a flow nested past :data:`MAX_NESTING_DEPTH`; unknown
+        operations and missing parameters are collected on the plan.
+        """
         lowering = _Lowering(self.registry, self._compiler)
-        root, depth = lowering.flow(flow, flow.name)
-        return FlowPlan(root, sorted(lowering.missing), lowering.problems,
-                        depth)
+        root = lowering.flow(flow, flow.name, 1)
+        return FlowPlan(root, sorted(lowering.missing), lowering.problems)
 
     def start(self, execution: FlowExecution, ctx: ExecutionContext):
         """Launch ``execution`` as a simulation process and return it.

@@ -30,7 +30,7 @@ from repro.errors import DfMSError, UnknownRequestError
 from repro.dfms.bindings import bind_default_operations
 from repro.dfms.compute import ComputeResource
 from repro.dfms.context import ExecutionContext
-from repro.dfms.engine import MAX_NESTING_DEPTH, FlowEngine, FlowPlan
+from repro.dfms.engine import FlowEngine, FlowPlan, NestingTooDeep
 from repro.dfms.execution import FlowExecution
 from repro.dfms.idl import InfrastructureDescription
 from repro.dfms.scheduler.cost import CostModel, CostWeights
@@ -46,7 +46,7 @@ from repro.dgl.model import (
     RequestAcknowledgement,
 )
 from repro.dgl.operations import OperationRegistry
-from repro.dgl.schema import validate_request
+from repro.dgl.schema import check_request
 from repro.errors import DGLValidationError
 from repro.grid.dgms import DataGridManagementSystem
 from repro.ids import IdFactory
@@ -146,22 +146,21 @@ class DfMSServer:
     def _admit(self, request: DataGridRequest, request_id: str):
         """Validate, compile and start a flow request.
 
-        Returns (execution, error). One compile walk yields the plan the
-        engine will run and the unknown-operation, required-parameter and
-        nesting-depth checks.
+        Returns (execution, error). One compile walk checks the flow's
+        structure and nesting depth, yields the plan the engine will run,
+        and collects the unknown-operation and required-parameter checks.
         """
         try:
-            validate_request(request)
+            check_request(request)
+            plan = self.engine.compile(request.body)
+        except NestingTooDeep as exc:
+            return None, str(exc)
         except DGLValidationError as exc:
             return None, f"invalid DGL document: {exc}"
-        plan = self.engine.compile(request.body)
         if plan.missing:
             return None, f"unknown operations: {', '.join(plan.missing)}"
         if plan.problems:
             return None, "; ".join(plan.problems)
-        if plan.depth > MAX_NESTING_DEPTH:
-            return None, (f"flow nests {plan.depth} levels deep; "
-                          f"the engine supports at most {MAX_NESTING_DEPTH}")
         if request.user not in self.dgms.users:
             return None, f"unknown grid user {request.user!r}"
         return self._start_execution(request, request_id, plan), None

@@ -38,38 +38,12 @@ from repro.dgl.model import (
     Variable,
     WhileLoop,
 )
+from repro.dgl.xml_io import _get_value, _set_value
 
 __all__ = ["flow_to_moml", "moml_to_flow"]
 
 _FLOW_CLASS = "datagridflow.Flow"
 _STEP_CLASS = "datagridflow.Step"
-
-
-def _set_typed(element: ET.Element, value) -> None:
-    if value is None:
-        element.set("type", "null")
-        element.set("value", "")
-    elif isinstance(value, int) and not isinstance(value, bool):
-        element.set("type", "int")
-        element.set("value", str(value))
-    elif isinstance(value, float):
-        element.set("type", "float")
-        element.set("value", repr(value))
-    else:
-        element.set("type", "str")
-        element.set("value", str(value))
-
-
-def _get_typed(element: ET.Element):
-    kind = element.get("type", "str")
-    text = element.get("value", "")
-    if kind == "null":
-        return None
-    if kind == "int":
-        return int(text)
-    if kind == "float":
-        return float(text)
-    return text
 
 
 def _pattern_properties(pattern, entity: ET.Element) -> None:
@@ -118,7 +92,7 @@ def _flow_entity(flow: Flow) -> ET.Element:
     for variable in flow.variables:
         var_el = ET.SubElement(entity, "property",
                                name=f"var:{variable.name}")
-        _set_typed(var_el, variable.value)
+        _set_value(var_el, variable.value)
     for child in flow.children:
         if isinstance(child, Flow):
             entity.append(_flow_entity(child))
@@ -141,7 +115,7 @@ def _step_entity(step: Step) -> ET.Element:
                       value=step.operation.assign_to)
     for name in sorted(step.operation.parameters):
         param = ET.SubElement(entity, "property", name=f"param:{name}")
-        _set_typed(param, step.operation.parameters[name])
+        _set_value(param, step.operation.parameters[name])
     return entity
 
 
@@ -217,7 +191,7 @@ def _parse_entity(entity: ET.Element) -> Union[Flow, Step]:
         if operation_prop is None:
             raise DGLParseError(f"MoML step {name!r} needs an operation")
         parameters = {
-            prop_name[len("param:"):]: _get_typed(prop)
+            prop_name[len("param:"):]: _get_value(prop)
             for prop_name, prop in properties.items()
             if prop_name.startswith("param:")}
         assign_prop = properties.get("assignTo")
@@ -227,7 +201,7 @@ def _parse_entity(entity: ET.Element) -> Union[Flow, Step]:
             assign_to=(assign_prop.get("value")
                        if assign_prop is not None else None)))
     if entity_class == _FLOW_CLASS:
-        variables = [Variable(prop_name[len("var:"):], _get_typed(prop))
+        variables = [Variable(prop_name[len("var:"):], _get_value(prop))
                      for prop_name, prop in properties.items()
                      if prop_name.startswith("var:")]
         children = [_parse_entity(child)

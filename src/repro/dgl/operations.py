@@ -16,10 +16,10 @@ run as a simulation process (timed operations).
 from __future__ import annotations
 
 import inspect
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import UnknownOperationError
-from repro.dgl.model import Flow, Operation, Step
+from repro.dgl.model import Operation
 
 __all__ = ["OperationHandler", "OperationRegistry"]
 
@@ -87,6 +87,8 @@ class OperationRegistry:
 
         ``where`` names the use (``step 'flow/s'``, ``flow 'flow' rule
         'beforeEntry'``). Unregistered operations have no requirements.
+        :meth:`repro.dfms.engine.FlowEngine.compile` applies it to every
+        operation use at admission.
         """
         required = self._required_params.get(operation.name)
         if not required:
@@ -98,49 +100,8 @@ class OperationRegistry:
         return (f"{where}: {operation.name} is missing required "
                 f"parameter(s) {', '.join(missing)}")
 
-    def missing_operations(self, flow: Flow) -> List[str]:
-        """Operation names used anywhere in ``flow`` but not registered.
-
-        Covers step operations and rule-action operations, recursively —
-        run before execution to fail fast on a typo in a DGL document.
-        """
-        return sorted({operation.name for _, operation in _uses(flow)
-                       if operation.name not in self})
-
-    def parameter_problems(self, flow: Flow) -> List[str]:
-        """Required-parameter violations anywhere in ``flow``.
-
-        Only steps whose operation *is* registered are checked (unknown
-        operations are :meth:`missing_operations`' job). Rule-action
-        operations are checked too.
-        """
-        problems = (self.parameter_problem(where, operation)
-                    for where, operation in _uses(flow))
-        return [problem for problem in problems if problem is not None]
-
     @staticmethod
     def is_timed(result: Any) -> bool:
         """True if a handler result is a generator to run in virtual time."""
         return inspect.isgenerator(result)
 
-
-def _uses(flow: Flow) -> Iterator[Tuple[str, Operation]]:
-    """Every operation use in ``flow`` with where it sits, in document
-    order: a flow's rule actions before its children, a step's operation
-    before its rule actions."""
-
-    def _rules(where: str, rules):
-        for rule in rules:
-            for action in rule.actions:
-                yield f"{where} rule {rule.name!r}", action.operation
-
-    def _walk(node, path: str):
-        if isinstance(node, Step):
-            yield f"step {path!r}", node.operation
-            yield from _rules(f"step {path!r}", node.rules)
-            return
-        yield from _rules(f"flow {path!r}", node.logic.rules)
-        for child in node.children:
-            yield from _walk(child, f"{path}/{child.name}")
-
-    return _walk(flow, flow.name)

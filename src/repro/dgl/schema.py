@@ -2,10 +2,13 @@
 
 Two jobs:
 
-* :func:`validate_flow` / :func:`validate_request` enforce the structural
-  rules of Appendix A that go beyond per-class invariants — unique variable
-  names per scope, homogeneous children, switch defaults naming real
-  children, well-formed nested rule operations.
+* :func:`check_flow` / :func:`check_step` / :func:`check_request` hold the
+  structural rules of Appendix A that go beyond per-class invariants —
+  unique variable names per scope, switch defaults naming real children,
+  non-empty rule conditions and parameter names — one node at a time.
+  :func:`validate_flow` / :func:`validate_request` apply them to a whole
+  document; the DfMS server applies them inside its admission compile
+  walk (:meth:`repro.dfms.engine.FlowEngine.compile`).
 
 * :func:`structure_of` renders the element structure of any DGL model class
   as a text tree **derived from the dataclasses themselves** (via
@@ -29,7 +32,8 @@ from repro.dgl.model import (
     UserDefinedRule,
 )
 
-__all__ = ["validate_flow", "validate_request", "structure_of"]
+__all__ = ["check_flow", "check_request", "check_step", "validate_flow",
+           "validate_request", "structure_of"]
 
 
 # --------------------------------------------------------------------------
@@ -50,8 +54,22 @@ def _check_rules(owner: str, rules: List[UserDefinedRule]) -> None:
                 f"{owner}: rule {rule.name!r} has an empty condition")
 
 
-def _validate_step(step: Step, path: str) -> None:
-    where = f"step {path!r}"
+def check_flow(flow: Flow, where: str) -> None:
+    """The structural rules of one flow node (not its children).
+
+    ``where`` names the node in messages (``flow 'outer/inner'``).
+    """
+    _check_unique_variables(where, flow.variables)
+    _check_rules(where, flow.logic.rules)
+    # A switch default must name an actual child.
+    default = getattr(flow.logic.pattern, "default", None)
+    if default is not None and flow.child(default) is None:
+        raise DGLValidationError(
+            f"{where}: switch default {default!r} names no child")
+
+
+def check_step(step: Step, where: str) -> None:
+    """The structural rules of one step (``where`` is ``step 'f/s'``)."""
     _check_unique_variables(where, step.variables)
     _check_rules(where, step.rules)
     for parameter in step.operation.parameters:
@@ -59,29 +77,28 @@ def _validate_step(step: Step, path: str) -> None:
             raise DGLValidationError(f"{where}: empty operation parameter name")
 
 
+def check_request(request: DataGridRequest) -> None:
+    """The request-level rules (not its body)."""
+    if not request.user:
+        raise DGLValidationError("request needs a grid user")
+
+
 def validate_flow(flow: Flow, _path: str = "") -> None:
-    """Validate a flow tree; raises :class:`DGLValidationError` on problems."""
+    """Validate a flow tree; raises :class:`DGLValidationError` on the
+    first problem, visiting nodes in pre-order."""
     path = f"{_path}/{flow.name}" if _path else flow.name
-    where = f"flow {path!r}"
-    _check_unique_variables(where, flow.variables)
-    _check_rules(where, flow.logic.rules)
-    pattern = flow.logic.pattern
-    # A switch default must name an actual child.
-    default = getattr(pattern, "default", None)
-    if default is not None and flow.child(default) is None:
-        raise DGLValidationError(
-            f"{where}: switch default {default!r} names no child")
+    check_flow(flow, f"flow {path!r}")
     for child in flow.children:
         if isinstance(child, Flow):
             validate_flow(child, path)
         else:
-            _validate_step(child, f"{path}/{child.name}")
+            step_path = f"{path}/{child.name}"
+            check_step(child, f"step {step_path!r}")
 
 
 def validate_request(request: DataGridRequest) -> None:
     """Validate a full request document."""
-    if not request.user:
-        raise DGLValidationError("request needs a grid user")
+    check_request(request)
     if isinstance(request.body, FlowStatusQuery):
         return
     validate_flow(request.body)

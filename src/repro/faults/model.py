@@ -31,8 +31,12 @@ windows restore injectors in pop order.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from typing import ClassVar, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, ClassVar, Dict, FrozenSet, Iterator, List, Optional, Sequence,
+    Tuple,
+)
 
 from repro.errors import FaultError
 from repro.sim.rng import RandomStreams
@@ -272,42 +276,61 @@ class FaultSchedule:
         same seed always yields the same schedule and generating one never
         perturbs any other stochastic component of the run. Starts land in
         the first three quarters of ``horizon``; each window lasts 5–20 %
-        of it.
+        of it (:func:`draw_windows`).
         """
-        if horizon <= 0:
-            raise FaultError(f"horizon must be positive: {horizon}")
-        if n_events < 0:
-            raise FaultError(f"n_events cannot be negative: {n_events}")
+        check_random_schedule(horizon, n_events)
         rng = streams.stream(SCHEDULE_STREAM)
         resources = dgms.resources.physical_names()
         links = dgms.topology.links
         domains = sorted(dgms.topology.domains)
-        events: List[FaultEvent] = []
-        for _ in range(n_events):
-            kind = rng.choice(list(kinds))
-            start = rng.uniform(0.0, 0.75 * horizon)
-            duration = rng.uniform(0.05 * horizon, 0.2 * horizon)
+
+        def pick(kind: str, start: float, duration: float) -> FaultEvent:
             if kind == "storage-outage":
-                events.append(StorageOutage(start, duration,
-                                            rng.choice(resources)))
-            elif kind == "domain-outage":
-                events.append(DomainOutage(start, duration,
-                                           rng.choice(domains)))
-            elif kind == "link-outage":
+                return StorageOutage(start, duration, rng.choice(resources))
+            if kind == "domain-outage":
+                return DomainOutage(start, duration, rng.choice(domains))
+            if kind == "link-outage":
                 link = rng.choice(links)
-                events.append(LinkOutage(start, duration, link.a, link.b))
-            elif kind == "link-degradation":
+                return LinkOutage(start, duration, link.a, link.b)
+            if kind == "link-degradation":
                 link = rng.choice(links)
-                events.append(LinkDegradation(
-                    start, duration, link.a, link.b,
-                    round(rng.uniform(0.1, 0.6), 3)))
-            elif kind == "flaky-window":
-                events.append(FlakyWindow(
-                    start, duration, rng.choice(resources),
-                    round(rng.uniform(0.05, 0.35), 3)))
-            else:
-                raise FaultError(f"unknown fault kind {kind!r}")
-        return cls(events)
+                return LinkDegradation(start, duration, link.a, link.b,
+                                       round(rng.uniform(0.1, 0.6), 3))
+            if kind == "flaky-window":
+                return FlakyWindow(start, duration, rng.choice(resources),
+                                   round(rng.uniform(0.05, 0.35), 3))
+            raise FaultError(f"unknown fault kind {kind!r}")
+
+        return cls(draw_windows(rng, horizon, n_events, list(kinds), pick))
+
+
+def check_random_schedule(horizon: float, n_events: int) -> None:
+    """The argument checks every random schedule makes first."""
+    if horizon <= 0:
+        raise FaultError(f"horizon must be positive: {horizon}")
+    if n_events < 0:
+        raise FaultError(f"n_events cannot be negative: {n_events}")
+
+
+def draw_windows(rng: random.Random, horizon: float, n_events: int,
+                 kinds: Sequence[str],
+                 pick: Callable[[str, float, float], FaultEvent]
+                 ) -> List[FaultEvent]:
+    """``n_events`` random fault windows, the geometry every random
+    schedule shares.
+
+    Each window draws, in this order, a kind from ``kinds``, a start in
+    the first three quarters of ``horizon`` and a duration of 5–20 % of
+    it; ``pick(kind, start, duration)`` then draws the kind's target from
+    the same ``rng`` (raising for a kind it does not know).
+    """
+    events: List[FaultEvent] = []
+    for _ in range(n_events):
+        kind = rng.choice(kinds)
+        start = rng.uniform(0.0, 0.75 * horizon)
+        duration = rng.uniform(0.05 * horizon, 0.2 * horizon)
+        events.append(pick(kind, start, duration))
+    return events
 
 
 class FaultWindowDriver:

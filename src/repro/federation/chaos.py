@@ -45,6 +45,8 @@ from repro.faults.model import (
     FaultSchedule,
     FaultWindowDriver,
     ZoneOutage,
+    check_random_schedule,
+    draw_windows,
 )
 from repro.faults.recovery import attach_recovery
 from repro.federation.placement import cross_zone_copy_by_guid
@@ -100,12 +102,10 @@ def federation_fault_schedule(streams: RandomStreams, federation,
     Draws only from the ``federation/fault-schedule`` substream (never
     perturbing intra-zone streams); starts land in the first three
     quarters of ``horizon``, windows last 5–20 % of it — the same
-    geometry as :meth:`~repro.faults.model.FaultSchedule.random`.
+    :func:`~repro.faults.model.draw_windows` geometry as
+    :meth:`~repro.faults.model.FaultSchedule.random`.
     """
-    if horizon <= 0:
-        raise FaultError(f"horizon must be positive: {horizon}")
-    if n_events < 0:
-        raise FaultError(f"n_events cannot be negative: {n_events}")
+    check_random_schedule(horizon, n_events)
     zones = federation.zones()
     if not zones:
         raise FaultError("federation has no zones to fault")
@@ -115,21 +115,18 @@ def federation_fault_schedule(streams: RandomStreams, federation,
     if not usable:
         raise FaultError(f"no usable fault kinds out of {tuple(kinds)!r}")
     rng = streams.stream(FEDERATION_SCHEDULE_STREAM)
-    events: List[FaultEvent] = []
-    for _ in range(n_events):
-        kind = rng.choice(usable)
-        start = rng.uniform(0.0, 0.75 * horizon)
-        duration = rng.uniform(0.05 * horizon, 0.2 * horizon)
+
+    def pick(kind: str, start: float, duration: float) -> FaultEvent:
         if kind == "zone-outage":
-            events.append(ZoneOutage(start, duration, rng.choice(zones)))
-        elif kind == "bridge-degradation":
+            return ZoneOutage(start, duration, rng.choice(zones))
+        if kind == "bridge-degradation":
             bridge = rng.choice(bridges)
-            events.append(BridgeDegradation(
-                start, duration, bridge.zone_a, bridge.zone_b,
-                round(rng.uniform(0.1, 0.6), 3)))
-        else:
-            raise FaultError(f"unknown federation fault kind {kind!r}")
-    return FaultSchedule(events)
+            return BridgeDegradation(start, duration, bridge.zone_a,
+                                     bridge.zone_b,
+                                     round(rng.uniform(0.1, 0.6), 3))
+        raise FaultError(f"unknown federation fault kind {kind!r}")
+
+    return FaultSchedule(draw_windows(rng, horizon, n_events, usable, pick))
 
 
 class FederationFaultDriver(FaultWindowDriver):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.dfms import bind_default_operations
+from repro.dfms.engine import FlowEngine
 from repro.dgl import (
     Action,
     DataGridRequest,
@@ -13,10 +14,12 @@ from repro.dgl import (
     UserDefinedRule,
     flow_builder,
 )
+from repro.sim import Environment
 
 
-def registry():
-    return bind_default_operations()
+def compiled(flow):
+    """The admission compile of ``flow`` against the default bindings."""
+    return FlowEngine(Environment(), bind_default_operations()).compile(flow)
 
 
 def test_complete_documents_have_no_problems():
@@ -24,7 +27,7 @@ def test_complete_documents_have_no_problems():
             .step("a", "srb.put", path="/x", size=1.0, resource="disk")
             .step("b", "srb.checksum", path="/x")
             .build())
-    assert registry().parameter_problems(flow) == []
+    assert compiled(flow).problems == []
 
 
 def test_missing_parameters_are_located_precisely():
@@ -32,7 +35,7 @@ def test_missing_parameters_are_located_precisely():
             .subflow(flow_builder("inner")
                      .step("bad", "srb.migrate", path="/x"))
             .build())
-    (problem,) = registry().parameter_problems(flow)
+    (problem,) = compiled(flow).problems
     assert "outer/inner/bad" in problem
     assert "from_physical" in problem and "resource" in problem
 
@@ -41,7 +44,7 @@ def test_template_values_satisfy_requirements():
     flow = (flow_builder("templated")
             .step("s", "srb.replicate", path="${f}", resource="${target}")
             .build())
-    assert registry().parameter_problems(flow) == []
+    assert compiled(flow).problems == []
 
 
 def test_rule_action_operations_are_checked():
@@ -50,15 +53,15 @@ def test_rule_action_operations_are_checked():
         actions=[Action("a", Operation("srb.delete"))])   # missing path
     flow = Flow(name="f", logic=FlowLogic(rules=[rule]),
                 children=[Step(name="s", operation=Operation("dgl.noop"))])
-    (problem,) = registry().parameter_problems(flow)
+    (problem,) = compiled(flow).problems
     assert "rule 'beforeEntry'" in problem
     assert "path" in problem
 
 
 def test_unregistered_operations_are_not_double_reported():
     flow = flow_builder("f").step("s", "no.such.op", x=1).build()
-    assert registry().parameter_problems(flow) == []
-    assert registry().missing_operations(flow) == ["no.such.op"]
+    assert compiled(flow).problems == []
+    assert compiled(flow).missing == ["no.such.op"]
 
 
 def test_server_rejects_at_admission_without_running(dfms):

@@ -135,6 +135,21 @@ def test_moml_preserves_parameter_types():
     assert isinstance(params["duration"], float)
 
 
+def test_moml_shares_the_dgl_value_model():
+    """MoML types values exactly as DGL XML does: a boolean is no DGL
+    value, and an unknown ``type`` attribute is a parse error."""
+    flow = flow_builder("flagged").step("s", "exec", flag=True).build()
+    with pytest.raises(DGLParseError, match="boolean"):
+        flow_to_moml(flow)
+    with pytest.raises(DGLParseError, match="unknown value type 'bool'"):
+        moml_to_flow('<entity name="f" class="datagridflow.Flow">'
+                     '<property name="flowLogic" value="sequential"/>'
+                     '<entity name="s" class="datagridflow.Step">'
+                     '<property name="operation" value="exec"/>'
+                     '<property name="param:flag" type="bool" value="1"/>'
+                     '</entity></entity>')
+
+
 def test_moml_rejects_rules():
     flow = (flow_builder("ruled")
             .before_entry(operation("dgl.noop"))

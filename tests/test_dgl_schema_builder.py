@@ -3,6 +3,7 @@ the operation registry."""
 
 import pytest
 
+from repro.dfms.engine import FlowEngine
 from repro.errors import DGLValidationError, UnknownOperationError
 from repro.dgl import (
     Action,
@@ -22,6 +23,7 @@ from repro.dgl import (
     validate_flow,
     validate_request,
 )
+from repro.sim import Environment
 
 
 # -- validation ----------------------------------------------------------------
@@ -204,8 +206,8 @@ def test_missing_operations_walks_steps_and_rules():
                      "afterExit", "true",
                      [Action("b", Operation("step-rule-op"))])]),
         ])])
-    assert registry.missing_operations(flow) == [
-        "rule-op", "step-op", "step-rule-op"]
+    plan = FlowEngine(Environment(), registry).compile(flow)
+    assert plan.missing == ["rule-op", "step-op", "step-rule-op"]
 
 
 def test_is_timed_distinguishes_generators():

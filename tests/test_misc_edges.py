@@ -201,3 +201,18 @@ def test_server_rejects_over_deep_nesting(dfms):
         body=flow))
     assert not response.body.valid
     assert "nests" in response.body.message
+
+
+@pytest.mark.parametrize("depth", [2000, 5000])
+def test_server_rejects_documents_nested_past_the_recursion_limit(dfms, depth):
+    from repro.dgl import DataGridRequest, Flow, Operation, Step
+    flow = Flow(name=f"level-{depth - 1}", children=[
+        Step(name="work", operation=Operation("dgl.noop"))])
+    for level in range(depth - 2, -1, -1):
+        flow = Flow(name=f"level-{level}", children=[flow])
+    response = dfms.server.submit(DataGridRequest(
+        user=dfms.alice.qualified_name, virtual_organization="vo",
+        body=flow))
+    assert response.body.valid is False
+    assert "nests" in response.body.message
+    assert dfms.server.running_count == 0
