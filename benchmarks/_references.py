@@ -19,6 +19,10 @@ does for the kernel) rather than in the shipped package. Nothing under
 * :class:`FlatReplicaDirectory` — the single flat replica catalog the
   sharded two-tier RLS replaced (E25,
   ``tests/test_federation_rls.py``).
+* :func:`rescan_publish_shards` — the dirty-shard digest publish as a
+  rescan of the whole zone (every guid re-partitioned, every member
+  re-hashed), which the RLS membership index replaced
+  (``tests/test_property_rls.py`` asserts both publish the same digests).
 * :func:`walk_evaluate`, :func:`walk_render_template` and
   :func:`walk_evaluate_condition` — the DGL expression language as a
   tree walk over the parsed AST on every evaluation, which the compiled
@@ -48,7 +52,13 @@ from repro.dgl.model import DataGridRequest, Flow, Operation, Step
 from repro.dgl.operations import OperationRegistry
 from repro.dgl.schema import validate_request
 from repro.errors import DGLValidationError, ExpressionError
-from repro.federation import ReplicaLocation
+from repro.federation import (
+    BloomDigest,
+    LocalReplicaCatalog,
+    ReplicaLocation,
+    ReplicaLocationIndex,
+    shard_of,
+)
 from repro.grid import DataObject, LogicalNamespace, Query
 from repro.network import TransferService
 
@@ -57,6 +67,7 @@ __all__ = [
     "GlobalRecomputeTransferService",
     "full_rates",
     "reference_admission",
+    "rescan_publish_shards",
     "scan",
     "walk_evaluate",
     "walk_evaluate_condition",
@@ -133,6 +144,34 @@ class FlatReplicaDirectory:
                 found.append(location)
         self.rows_scanned += scanned
         return tuple(found)
+
+
+def rescan_publish_shards(lrc: LocalReplicaCatalog,
+                          index: ReplicaLocationIndex,
+                          shard_indexes: Sequence[int],
+                          published_at: float = 0.0) -> None:
+    """Rebuild and publish ``shard_indexes`` of one zone into ``index`` by
+    rescanning the zone: O(zone) per call, however few shards are dirty.
+
+    Every guid the LRC holds is re-partitioned with :func:`shard_of` to
+    find the dirty shards' members, and each digest is rebuilt with one
+    :meth:`BloomDigest.add` per member.
+    """
+    wanted = set(shard_indexes)
+    if not wanted:
+        return
+    partitions: Dict[int, List[str]] = {shard: [] for shard in wanted}
+    n_shards = index.n_shards
+    for guid in lrc.guids():
+        shard = shard_of(guid, n_shards)
+        if shard in wanted:
+            partitions[shard].append(guid)
+    for shard in sorted(wanted):
+        guids = partitions[shard]
+        digest = BloomDigest.for_capacity(len(guids))
+        for guid in guids:
+            digest.add(guid)
+        index.publish(lrc.zone_name, shard, digest, published_at)
 
 
 # --------------------------------------------------------------------------

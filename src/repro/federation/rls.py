@@ -22,6 +22,11 @@ consistency contract, **stale but never wrong**:
   LRC query, never a wrong answer — :meth:`locate` returns only
   locations the owning zone vouches for at answer time.
 
+Publication reads a per-zone membership index the service keeps beside
+the LRCs (``{guid: packed probe hash}`` per shard, fed by the LRC change
+listeners), so republishing a dirty shard costs that shard's members,
+not a rescan of the zone.
+
 Per-lookup accounting (shards touched, digests checked, LRC queries,
 false positives, digest staleness) is first-class: the E25 benchmark
 asserts a 1M-object locate touches only its one shard's digests, and
@@ -31,7 +36,9 @@ telemetry mirrors the counters when attached.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Collection, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.errors import FederationError
 
@@ -78,6 +85,27 @@ def _mix(h: int) -> int:
     return h
 
 
+#: CRC32 of the two probe salts: ``crc32(data, _SALT_A)`` is
+#: ``crc32(b"rls-a:" + data)`` without building the salted bytes.
+_SALT_A = zlib.crc32(b"rls-a:")
+_SALT_B = zlib.crc32(b"rls-b:")
+
+_LOW32 = 0xFFFFFFFF
+
+
+def _packed_hash(guid: str) -> int:
+    """``guid``'s two probe hashes packed as ``h1 << 32 | h2``.
+
+    Every digest test and digest build derives its probe positions from
+    this one int (see :class:`BloomDigest`); the membership index keeps
+    it per guid, one small int rather than a pair, so a republish never
+    re-hashes a member.
+    """
+    data = guid.encode()
+    return (_mix(zlib.crc32(data, _SALT_A)) << 32
+            | _mix(zlib.crc32(data, _SALT_B)) | 1)
+
+
 class ReplicaLocation(NamedTuple):
     """One zone-qualified replica location, as the RLS reports it."""
 
@@ -115,28 +143,57 @@ class BloomDigest:
         """A digest sized for ``n_entries`` keys."""
         return cls(max(64, n_entries * bits_per_entry))
 
-    def _probes(self, guid: str) -> Iterable[int]:
-        data = guid.encode()
-        h1 = _mix(zlib.crc32(b"rls-a:" + data))
-        h2 = _mix(zlib.crc32(b"rls-b:" + data)) | 1
-        n_bits = self.n_bits
-        for i in range(_PROBES):
-            yield (h1 + i * h2) % n_bits
+    @classmethod
+    def of_hashes(cls, hashes: Collection[int]) -> "BloomDigest":
+        """A digest sized for and holding the guids whose packed hashes
+        (:func:`_packed_hash`) are ``hashes`` — bit for bit the digest
+        :meth:`for_capacity` plus one :meth:`add` per guid builds, in one
+        pass over cached hashes (no guid is re-hashed)."""
+        digest = cls.for_capacity(len(hashes))
+        bits, n_bits = digest.bits, digest.n_bits
+        for packed in hashes:   # the _PROBES (4) probes, unrolled
+            h1 = packed >> 32
+            h2 = packed & _LOW32
+            position = h1 % n_bits
+            bits[position >> 3] |= 1 << (position & 7)
+            h1 += h2
+            position = h1 % n_bits
+            bits[position >> 3] |= 1 << (position & 7)
+            h1 += h2
+            position = h1 % n_bits
+            bits[position >> 3] |= 1 << (position & 7)
+            h1 += h2
+            position = h1 % n_bits
+            bits[position >> 3] |= 1 << (position & 7)
+        digest.count = len(hashes)
+        return digest
 
     def add(self, guid: str) -> None:
         """Set ``guid``'s probe bits (irreversible, as blooms are)."""
-        bits = self.bits
-        for position in self._probes(guid):
+        packed = _packed_hash(guid)
+        h1, h2 = packed >> 32, packed & _LOW32
+        bits, n_bits = self.bits, self.n_bits
+        for _ in range(_PROBES):
+            position = h1 % n_bits
             bits[position >> 3] |= 1 << (position & 7)
+            h1 += h2
         self.count += 1
 
     def might_contain(self, guid: str) -> bool:
         """Membership test: False is definitive, True may be a false
         positive (the caller verifies against the authoritative LRC)."""
-        bits = self.bits
-        for position in self._probes(guid):
+        return self.contains_hash(_packed_hash(guid))
+
+    def contains_hash(self, packed: int) -> bool:
+        """:meth:`might_contain` for a guid already hashed by
+        :func:`_packed_hash` (a locate hashes once for every zone)."""
+        h1, h2 = packed >> 32, packed & _LOW32
+        bits, n_bits = self.bits, self.n_bits
+        for _ in range(_PROBES):
+            position = h1 % n_bits
             if not bits[position >> 3] & (1 << (position & 7)):
                 return False
+            h1 += h2
         return True
 
     @property
@@ -212,6 +269,13 @@ class LocalReplicaCatalog:
             return len(self.dgms.namespace.catalog)
         return len(self._static)
 
+    def holds(self, guid: str) -> bool:
+        """Whether this zone holds ``guid`` now — membership only; unlike
+        :meth:`locations` it is not counted as an authoritative query."""
+        if self.dgms is not None:
+            return self.dgms.namespace.lookup_guid(guid) is not None
+        return guid in self._static
+
     def locations(self, guid: str) -> Tuple[ReplicaLocation, ...]:
         """Authoritative locations for ``guid`` here, now (may be empty).
 
@@ -267,19 +331,15 @@ class ReplicaLocationIndex:
         self._shards[shard_index][zone_name] = _ZoneDigest(digest,
                                                            published_at)
 
-    def withdraw(self, zone_name: str) -> None:
-        """Drop every digest a (decommissioned) zone published."""
-        for shard in self._shards:
-            shard.pop(zone_name, None)
-
     def candidates(self, guid: str) -> Tuple[int, List[Tuple[str, float]]]:
         """The shard index and the ``(zone, published_at)`` pairs whose
-        digest claims ``guid`` — the only zones worth querying."""
+        digest claims ``guid`` — the only zones worth querying. The guid
+        is hashed once, whatever the number of zone digests tested."""
         index = self.shard_of(guid)
-        shard = self._shards[index]
+        packed = _packed_hash(guid)
         matched = [(zone_name, cell.published_at)
-                   for zone_name, cell in shard.items()
-                   if cell.digest.might_contain(guid)]
+                   for zone_name, cell in self._shards[index].items()
+                   if cell.digest.contains_hash(packed)]
         return index, matched
 
     def digests_in_shard(self, shard_index: int) -> int:
@@ -326,6 +386,10 @@ class ReplicaLocationService:
         self.env = env
         self.index = ReplicaLocationIndex(n_shards)
         self._lrcs: Dict[str, LocalReplicaCatalog] = {}
+        #: Zone name → per-shard membership index: ``{guid: packed
+        #: probe hash}`` for every guid the zone's LRC holds, the source
+        #: every digest publish reads instead of rescanning the zone.
+        self._members: Dict[str, List[Dict[str, int]]] = {}
         #: Zone name → :class:`~repro.federation.sync.DigestSyncer`, when
         #: :func:`attach_rls` wires eventually-consistent publication.
         self.syncers: Dict[str, object] = {}
@@ -336,6 +400,9 @@ class ReplicaLocationService:
         self.false_positives = 0
         self.lrc_queries = 0
         self.shards_touched = 0
+        #: ``(metric, outcome)`` → labelled telemetry series (see
+        #: :meth:`_series`).
+        self._outcome_series: Dict[Tuple[object, str], object] = {}
 
     @property
     def now(self) -> float:
@@ -346,13 +413,24 @@ class ReplicaLocationService:
     def add_zone(self, lrc: LocalReplicaCatalog,
                  publish: bool = True) -> LocalReplicaCatalog:
         """Register a zone's LRC (publishing its current digests unless
-        a syncer will — see :func:`repro.federation.sync.attach_rls`)."""
-        if lrc.zone_name in self._lrcs:
+        a syncer will — see :func:`repro.federation.sync.attach_rls`).
+
+        The zone's membership index is seeded from
+        :meth:`LocalReplicaCatalog.guids` and kept current by a listener
+        registered here — ahead of any digest syncer's, so a publish
+        always reads the catalog's current membership.
+        """
+        zone_name = lrc.zone_name
+        if zone_name in self._lrcs:
             raise FederationError(
-                f"zone {lrc.zone_name!r} already publishes to this index")
-        self._lrcs[lrc.zone_name] = lrc
+                f"zone {zone_name!r} already publishes to this index")
+        self._lrcs[zone_name] = lrc
+        self._seed(zone_name)
+        lrc.listeners.append(
+            lambda guid, zone_name=zone_name:
+            self._track(zone_name, guid))
         if publish:
-            self.publish_zone(lrc.zone_name)
+            self.publish_zone(zone_name)
         return lrc
 
     def lrc(self, zone_name: str) -> LocalReplicaCatalog:
@@ -369,47 +447,48 @@ class ReplicaLocationService:
 
     # -- publishing -----------------------------------------------------------
 
-    def _shard_guids(self, lrc: LocalReplicaCatalog
-                     ) -> Dict[int, List[str]]:
-        partitions: Dict[int, List[str]] = {}
+    def _seed(self, zone_name: str) -> None:
+        """Rebuild one zone's membership index from its LRC."""
         n_shards = self.index.n_shards
-        for guid in lrc.guids():
-            partitions.setdefault(shard_of(guid, n_shards), []).append(guid)
-        return partitions
+        members: List[Dict[str, int]] = [{} for _ in range(n_shards)]
+        for guid in self._lrcs[zone_name].guids():
+            members[shard_of(guid, n_shards)][guid] = _packed_hash(guid)
+        self._members[zone_name] = members
+
+    def _track(self, zone_name: str, guid: str) -> None:
+        """Follow one LRC membership change into the index."""
+        shard = self._members[zone_name][shard_of(guid,
+                                                  self.index.n_shards)]
+        if self._lrcs[zone_name].holds(guid):
+            if guid not in shard:
+                shard[guid] = _packed_hash(guid)
+        else:
+            shard.pop(guid, None)
 
     def publish_zone(self, zone_name: str) -> None:
-        """(Re)build and publish every shard digest for one zone."""
-        lrc = self.lrc(zone_name)
-        partitions = self._shard_guids(lrc)
-        now = self.now
-        for shard_index in range(self.index.n_shards):
-            guids = partitions.get(shard_index, ())
-            digest = BloomDigest.for_capacity(len(guids))
-            for guid in guids:
-                digest.add(guid)
-            self.index.publish(zone_name, shard_index, digest, now)
+        """Re-seed one zone's membership index from its LRC, then
+        rebuild and publish every shard digest. A caller that changes an
+        LRC behind its listeners (a bulk load into ``_static``) calls
+        this to bring the index back in step."""
+        self.lrc(zone_name)
+        self._seed(zone_name)
+        self._publish(zone_name, range(self.index.n_shards))
 
     def publish_shards(self, zone_name: str,
                        shard_indexes: Sequence[int]) -> None:
         """Rebuild and publish just ``shard_indexes`` for one zone (the
-        dirty-shard path the digest syncer drives)."""
-        lrc = self.lrc(zone_name)
-        wanted = set(shard_indexes)
-        if not wanted:
-            return
-        partitions: Dict[int, List[str]] = {index: [] for index in wanted}
-        n_shards = self.index.n_shards
-        for guid in lrc.guids():
-            index = shard_of(guid, n_shards)
-            if index in wanted:
-                partitions[index].append(guid)
+        dirty-shard path the digest syncer drives). Costs the members of
+        those shards, not the zone."""
+        self.lrc(zone_name)
+        self._publish(zone_name, sorted(set(shard_indexes)))
+
+    def _publish(self, zone_name: str, shard_indexes: Sequence[int]) -> None:
+        members = self._members[zone_name]
         now = self.now
-        for shard_index in sorted(wanted):
-            guids = partitions[shard_index]
-            digest = BloomDigest.for_capacity(len(guids))
-            for guid in guids:
-                digest.add(guid)
-            self.index.publish(zone_name, shard_index, digest, now)
+        for shard_index in shard_indexes:
+            self.index.publish(
+                zone_name, shard_index,
+                BloomDigest.of_hashes(members[shard_index].values()), now)
 
     # -- lookups --------------------------------------------------------------
 
@@ -457,18 +536,30 @@ class ReplicaLocationService:
         telemetry = self.env.telemetry
         if telemetry is None:
             return
+        series = self._series
         outcome = "hit" if result.found else "miss"
-        telemetry.rls_lookups.labels(outcome=outcome).inc()
+        series(telemetry.rls_lookups, outcome).inc()
         telemetry.rls_shards_touched.inc(result.shards_touched)
         if result.lrc_queries:
-            telemetry.rls_digest_checks.labels(outcome="match").inc(
+            checks = telemetry.rls_digest_checks
+            series(checks, "match").inc(
                 result.lrc_queries - result.false_positives)
-            telemetry.rls_digest_checks.labels(outcome="false-positive").inc(
-                result.false_positives)
+            series(checks, "false-positive").inc(result.false_positives)
         rejected = result.digests_checked - result.lrc_queries
         if rejected:
-            telemetry.rls_digest_checks.labels(outcome="reject").inc(rejected)
+            series(telemetry.rls_digest_checks, "reject").inc(rejected)
         telemetry.rls_staleness.observe(result.max_staleness_s)
+
+    def _series(self, metric, outcome: str):
+        """``metric``'s series for one ``outcome`` label, looked up once
+        per metric (a hot-path reference, as :mod:`repro.telemetry.metrics`
+        recommends)."""
+        key = (metric, outcome)
+        child = self._outcome_series.get(key)
+        if child is None:
+            child = self._outcome_series[key] = metric.labels(
+                outcome=outcome)
+        return child
 
     def flush_all(self) -> None:
         """Flush every zone's pending digest publications immediately

@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional
 from repro.errors import ExpressionError, NamespaceError, PolicyError
 from repro.dfms.context import ExecutionContext
 from repro.dfms.server import DfMSServer
-from repro.dgl.expressions import evaluate_condition
+from repro.dgl.expressions import Compiler, evaluate_condition
 from repro.dgl.model import DataGridRequest
 from repro.grid.namespace import DataObject
 from repro.grid.users import User
@@ -52,6 +52,9 @@ class ILMManager:
         #: listeners``); each is called as
         #: listener(kind, policy_name, time, detail_dict).
         self.listeners: List[Callable] = []
+        #: Each distinct rule condition is parsed once, on its first
+        #: evaluation, however many objects a pass applies it to.
+        self._compiler = Compiler()
         server.registry.register("ilm.gate", self._op_gate, replace=True)
         server.registry.register("ilm.apply", self._op_apply, replace=True)
 
@@ -181,9 +184,10 @@ class ILMManager:
             "last_action": obj.metadata.get(policy.mark_attribute),
         }
         chosen: Optional[PlacementRule] = None
+        condition = self._compiler.condition
         for rule in policy.rules:
             try:
-                if evaluate_condition(rule.condition, scope):
+                if evaluate_condition(condition(rule.condition), scope):
                     chosen = rule
                     break
             except ExpressionError as exc:

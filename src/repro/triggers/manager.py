@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.errors import ExpressionError, TriggerError
 from repro.dfms.server import DfMSServer
-from repro.dgl.expressions import evaluate_condition
+from repro.dgl.expressions import Compiler, evaluate_condition
 from repro.dgl.model import DataGridRequest
 from repro.grid.dgms import DataGridManagementSystem
 from repro.grid.events import NamespaceEvent
@@ -65,6 +65,9 @@ class TriggerManager:
         #: listeners``); each is called as
         #: listener(kind, trigger_name, time, detail_dict).
         self.listeners: List[Callable] = []
+        #: Each distinct condition source is parsed once, on its first
+        #: evaluation, however often its trigger fires.
+        self._compiler = Compiler()
         dgms.events.subscribe(self._on_event)
 
     # -- notifications -------------------------------------------------------
@@ -139,9 +142,11 @@ class TriggerManager:
             # order-dependence hazard the ordering strategy arbitrates.
             t.trigger_conflicts.inc()
         scope = self._condition_scope(event)
+        condition = self._compiler.condition
         for trigger in matches:
             try:
-                met = bool(evaluate_condition(trigger.condition, scope))
+                met = bool(evaluate_condition(condition(trigger.condition),
+                                              scope))
             except ExpressionError:
                 met = False   # a broken condition never fires (documented)
             if t is not None:

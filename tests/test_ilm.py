@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import PolicyError
-from repro.dgl import ExecutionState, ForEach
+from repro.dgl import ExecutionState, ForEach, expressions
 from repro.ilm import (
     DomainValueModel,
     ILMManager,
@@ -163,6 +163,56 @@ def test_first_matching_rule_wins(dfms):
 
     dfms.run(one_pass())
     assert dfms.dgms.namespace.exists("/home/alice/x.dat")
+
+
+def test_rule_conditions_are_parsed_once_per_manager(dfms, monkeypatch):
+    parsed = []
+    compile_source = expressions._compile_source
+
+    def counting(source):
+        parsed.append(source)
+        return compile_source(source)
+
+    monkeypatch.setattr(expressions, "_compile_source", counting)
+    for index in range(4):
+        dfms.put_file(f"/home/alice/f{index}.dat", size=MB)
+    policy = ILMPolicy(
+        name="keep", collection="/home/alice", domain="sdsc",
+        rules=[PlacementRule("never", "size > 2 * size", "delete"),
+               PlacementRule("rest", "true", "none")])
+    manager = manager_with(dfms, policy)
+
+    def two_passes():
+        for _ in range(2):
+            yield from manager.run_pass_sync("keep", dfms.alice)
+
+    dfms.run(two_passes())
+    assert [p.state for p in manager.passes] == ["completed"] * 2
+    assert parsed.count("size > 2 * size") == 1
+    assert parsed.count("true") == 1
+
+
+def test_broken_rule_condition_fails_the_pass_with_a_policy_error(dfms):
+    for index in range(2):
+        dfms.put_file(f"/home/alice/f{index}.dat", size=MB)
+    policy = ILMPolicy(
+        name="bad", collection="/home/alice", domain="sdsc",
+        rules=[PlacementRule("typo", "undefined_var > 1", "none")])
+    manager = manager_with(dfms, policy)
+
+    def two_passes():
+        statuses = []
+        for _ in range(2):
+            status = yield from manager.run_pass_sync("bad", dfms.alice)
+            statuses.append(status)
+        return statuses
+
+    statuses = dfms.run(two_passes())
+    # The compiled condition fails every pass with the same message.
+    assert [s.state for s in statuses] == [ExecutionState.FAILED] * 2
+    for status in statuses:
+        assert ("policy 'bad' rule 'typo': undefined DGL variable "
+                "'undefined_var'") in status.error
 
 
 def test_pass_skips_vanished_objects(dfms):

@@ -6,7 +6,7 @@ from repro.errors import TriggerError
 from repro.grid import EventKind, EventPhase
 from repro.storage import MB
 from repro.triggers import DatagridTrigger, TriggerManager
-from repro.dgl import ExecutionState, Operation, flow_builder
+from repro.dgl import ExecutionState, Operation, expressions, flow_builder
 
 
 def make_trigger(dfms, name="t", kinds=(EventKind.INSERT,),
@@ -120,6 +120,34 @@ def test_broken_condition_never_fires(dfms):
     # ... but the rejection is logged for the administrator.
     assert any(f.trigger_name == "broken" and not f.condition_met
                for f in manager.firing_log)
+
+
+def test_condition_is_parsed_once_however_often_it_fires(dfms,
+                                                        monkeypatch):
+    parsed = []
+    compile_source = expressions._compile_source
+
+    def counting(source):
+        parsed.append(source)
+        return compile_source(source)
+
+    monkeypatch.setattr(expressions, "_compile_source", counting)
+    manager = TriggerManager(dfms.dgms, dfms.server)
+    manager.register(make_trigger(dfms, name="any-size",
+                                  condition="size >= 0"))
+    manager.register(make_trigger(dfms, name="unparsable",
+                                  condition="size >"))
+    for index in range(5):
+        dfms.put_file(f"/home/alice/f{index}.dat", size=MB)
+    drain(dfms)
+    assert len(manager.firings_for("any-size")) == 5
+    assert parsed.count("size >= 0") == 1
+    # A condition that does not parse is compiled once too, and still
+    # never fires.
+    assert manager.firings_for("unparsable") == []
+    assert sum(1 for f in manager.firing_log
+               if f.trigger_name == "unparsable") == 5
+    assert parsed.count("size >") == 1
 
 
 def test_action_flow_sees_event_variables(dfms):
