@@ -57,20 +57,20 @@ class HardwiredIntegrityPipeline:
             self.objects_processed += 1
 
 
-def dgl_integrity_flow(collection: str, archive_resource: str,
-                       checksum_attribute: str = "md5") -> Flow:
+def dgl_integrity_flow(collection: str, archive_resource: str) -> Flow:
     """The same pipeline as a DGL document.
 
-    Everything the hard-wired class bakes in is a parameter here; the
-    document can be regenerated (or edited as XML) for new infrastructure
-    without touching code.
+    The collection and archive the hard-wired class bakes in are
+    parameters here; the document can be regenerated (or edited as XML)
+    for new infrastructure without touching code.
     """
     return (flow_builder("integrity-pipeline")
             .for_each("f", collection=collection)
             .step("checksum", "srb.checksum", assign_to="digest",
                   path="${f}")
             .step("tag", "srb.set_metadata", path="${f}",
-                  attribute=checksum_attribute, value="${digest}")
+                  attribute=HardwiredIntegrityPipeline.CHECKSUM_ATTRIBUTE,
+                  value="${digest}")
             .step("archive", "srb.replicate", path="${f}",
                   resource=archive_resource)
             .build())

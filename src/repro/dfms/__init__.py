@@ -18,7 +18,7 @@ from repro.dfms.compute import ComputeResource
 from repro.dfms.context import ExecutionContext
 from repro.dfms.engine import ON_ERROR, FlowCancelled, FlowEngine
 from repro.dfms.gateway import DfMSGateway, TokenBucket, VOPolicy
-from repro.dfms.execution import FlowExecution, JournalEntry, build_status_tree
+from repro.dfms.execution import FlowExecution, JournalEntry
 from repro.dfms.idl import (
     SLA,
     DomainDescription,
@@ -39,7 +39,7 @@ __all__ = [
     "DfMSServer", "DfMSGateway", "TokenBucket", "VOPolicy",
     "DgmsCache", "attach_cache",
     "FlowEngine", "FlowExecution", "ExecutionContext",
-    "FlowCancelled", "ON_ERROR", "JournalEntry", "build_status_tree",
+    "FlowCancelled", "ON_ERROR", "JournalEntry",
     "bind_default_operations",
     "ComputeResource", "InfrastructureDescription", "DomainDescription",
     "StorageOffer", "SLA",

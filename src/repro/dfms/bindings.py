@@ -19,8 +19,6 @@ and checkpointing stay serializable.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.errors import ExecutionError, SchedulingError
 from repro.dfms.context import ExecutionContext
 from repro.dfms.scheduler.cost import TaskSpec
@@ -363,10 +361,9 @@ def _exec(ctx: ExecutionContext, params):
 # --------------------------------------------------------------------------
 
 
-def bind_default_operations(
-        registry: Optional[OperationRegistry] = None) -> OperationRegistry:
-    """Register every default operation into ``registry`` (or a new one)."""
-    registry = registry or OperationRegistry()
+def bind_default_operations() -> OperationRegistry:
+    """A new registry holding every default operation."""
+    registry = OperationRegistry()
     registry.register("dgl.noop", _dgl_noop)
     registry.register("dgl.log", _dgl_log)
     registry.register("dgl.set", _dgl_set, required_params=("variable",))

@@ -15,14 +15,15 @@ read paths:
 * **replica choices** — :meth:`DataGridManagementSystem.select_replica`
   results keyed by (object guid, destination domain, policy).
 
-Correctness model — sim-time TTL plus precise invalidation:
+Correctness model — precise invalidation plus capacity:
 
-* Every entry carries ``expires_at`` in **virtual** time and is checked
-  lazily on lookup. No kernel events are scheduled, no randomness is
-  drawn, and the clock is never advanced, so an attached cache cannot
-  move a float: the chaos sweep's :meth:`~repro.workloads.chaos.
-  GridChaos.run_signature` stays bit-identical (gated by
-  ``benchmarks/test_e24_gateway.py``).
+* An entry lives until the change feed or a stamp check drops it, or
+  capacity eviction pushes it out (oldest fill first, ``max_entries``
+  per surface). Nothing is time-based: no kernel events are scheduled,
+  no randomness is drawn, and the clock is never read or advanced, so
+  an attached cache cannot move a float: the chaos sweep's
+  :meth:`~repro.workloads.chaos.GridChaos.run_signature` stays
+  bit-identical (gated by ``benchmarks/test_e24_gateway.py``).
 * Query entries are evicted through the :class:`~repro.grid.catalog.
   GridCatalog` change feed (``register`` / ``deregister`` / ``metadata``
   / ``resize`` — moves fire deregister+register via subtree adoption),
@@ -57,15 +58,9 @@ __all__ = ["DgmsCache", "attach_cache"]
 #: query uncacheable.
 _UNCACHEABLE_FIELDS = frozenset({"checksum"})
 
-#: Default entry lifetime, in sim seconds. Generous on purpose: the
-#: change feed does the real invalidation work; the TTL only bounds
-#: staleness of surfaces the feed cannot see (none known — belt and
-#: braces) and the memory held by one-off queries.
-DEFAULT_TTL_S = 300.0
-
 
 class DgmsCache:
-    """Sim-time TTL cache over one DGMS's query and replica lookups.
+    """Exact cache over one DGMS's query and replica lookups.
 
     Attach with :func:`attach_cache`; the DGMS consults :attr:`~repro.
     grid.dgms.DataGridManagementSystem.cache` duck-typed (``None`` means
@@ -73,20 +68,16 @@ class DgmsCache:
     import-free of this module).
     """
 
-    def __init__(self, dgms, query_ttl_s: float = DEFAULT_TTL_S,
-                 replica_ttl_s: float = DEFAULT_TTL_S,
-                 max_entries: int = 4096) -> None:
+    def __init__(self, dgms, max_entries: int = 4096) -> None:
         self.dgms = dgms
         self.env = dgms.env
-        self.query_ttl_s = float(query_ttl_s)
-        self.replica_ttl_s = float(replica_ttl_s)
         self.max_entries = int(max_entries)
-        # (user, collection, conditions, recursive, limit) ->
-        # (expires_at, post-ACL results tuple). Insertion-ordered, so
-        # capacity eviction drops the oldest fill first.
-        self._queries: Dict[Tuple, Tuple[float, Tuple]] = {}
-        # (guid, to_domain, policy) -> (expires_at, stamp, replica).
-        self._replicas: Dict[Tuple, Tuple[float, Tuple, object]] = {}
+        # (user, collection, conditions, recursive, limit) -> post-ACL
+        # results tuple. Insertion-ordered, so capacity eviction drops
+        # the oldest fill first.
+        self._queries: Dict[Tuple, Tuple] = {}
+        # (guid, to_domain, policy) -> (stamp, replica).
+        self._replicas: Dict[Tuple, Tuple[Tuple, object]] = {}
         #: Local tallies (always maintained; telemetry mirrors them when
         #: a session is attached).
         self.hits = {"query": 0, "replica": 0}
@@ -157,22 +148,18 @@ class DgmsCache:
             self.bypasses["query"] += 1
             self._note("query", "bypass")
             return self._run_filtered(user, query)
-        now = self.env.now
         entry = self._queries.get(key)
         if entry is not None:
-            if now < entry[0]:
-                self.hits["query"] += 1
-                self._note("query", "hit")
-                return list(entry[1])
-            del self._queries[key]
-            self._evict("ttl")
+            self.hits["query"] += 1
+            self._note("query", "hit")
+            return list(entry)
         self.misses["query"] += 1
         self._note("query", "miss")
         results = self._run_filtered(user, query)
         if len(self._queries) >= self.max_entries:
             self._queries.pop(next(iter(self._queries)))
             self._evict("capacity")
-        self._queries[key] = (now + self.query_ttl_s, tuple(results))
+        self._queries[key] = tuple(results)
         return results
 
     # -- replica choices -----------------------------------------------------
@@ -196,18 +183,13 @@ class DgmsCache:
             self.misses["replica"] += 1
             self._note("replica", "miss")
             return None
-        expires_at, stamp, choice = entry
-        now = self.env.now
-        if now >= expires_at:
-            del self._replicas[key]
-            self._evict("ttl")
-        elif stamp != self._replica_stamp(obj, replicas):
-            del self._replicas[key]
-            self._evict("stale")
-        else:
+        stamp, choice = entry
+        if stamp == self._replica_stamp(obj, replicas):
             self.hits["replica"] += 1
             self._note("replica", "hit")
             return choice
+        del self._replicas[key]
+        self._evict("stale")
         self.misses["replica"] += 1
         self._note("replica", "miss")
         return None
@@ -219,7 +201,6 @@ class DgmsCache:
             self._replicas.pop(next(iter(self._replicas)))
             self._evict("capacity")
         self._replicas[(obj.guid, to_domain, policy)] = (
-            self.env.now + self.replica_ttl_s,
             self._replica_stamp(obj, replicas), choice)
 
     # -- invalidation --------------------------------------------------------
@@ -294,17 +275,15 @@ class DgmsCache:
         self.invalidate_all()
 
 
-def attach_cache(dgms, query_ttl_s: float = DEFAULT_TTL_S,
-                 replica_ttl_s: float = DEFAULT_TTL_S,
-                 max_entries: int = 4096) -> DgmsCache:
+def attach_cache(dgms, max_entries: int = 4096) -> DgmsCache:
     """Attach a :class:`DgmsCache` to ``dgms`` (idempotent).
 
-    A cache already attached is returned as-is (the tuning arguments are
-    ignored then), mirroring the recovery/observability attach surfaces.
+    A cache already attached is returned as-is (``max_entries`` is
+    ignored then), like :func:`~repro.telemetry.instrument.
+    attach_observability`; :func:`~repro.faults.recovery.attach_recovery`,
+    by contrast, replaces any service already attached.
     """
     existing = dgms.cache
     if existing is not None:
         return existing
-    return DgmsCache(dgms, query_ttl_s=query_ttl_s,
-                     replica_ttl_s=replica_ttl_s,
-                     max_entries=max_entries).attach()
+    return DgmsCache(dgms, max_entries=max_entries).attach()

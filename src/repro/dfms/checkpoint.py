@@ -77,8 +77,12 @@ def restore_execution(server: DfMSServer, snapshot: dict,
         raise CheckpointError(f"checkpoint is missing {exc}") from None
     if not isinstance(request.body, Flow):
         raise CheckpointError("checkpointed request does not carry a flow")
+    # Compile before anything is built or adopted, so a flow that no
+    # longer compiles leaves the server untouched.
+    plan = server.engine.compile(request.body)
     execution = FlowExecution(
-        request_id=request_id, flow=request.body, user_name=request.user,
+        request_id=request_id, flow=request.body, plan=plan,
+        user_name=request.user,
         virtual_organization=request.virtual_organization, env=server.env)
     execution.submitted_at = snapshot.get("submitted_at",
                                           execution.submitted_at)

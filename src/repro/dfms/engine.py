@@ -13,7 +13,8 @@ query compilation:
   the first structural problem (:func:`~repro.dgl.schema.check_flow`,
   :func:`~repro.dgl.schema.check_step`) and on nesting past
   :data:`MAX_NESTING_DEPTH`, and collects unknown operations and missing
-  required parameters;
+  required parameters. It also builds the all-PENDING status tree the
+  execution reports through;
 * **interpret the plan** over the simulation kernel:
 
   * each Flow opens a variable scope and runs its children under its
@@ -30,7 +31,7 @@ query compilation:
     journals completed step instances so a checkpointed execution can be
     restarted without redoing work (§2.1: ILM processes "could be
     started, stopped and restarted at any time"). A restored execution
-    has its plan rebuilt from its flow.
+    has its plan rebuilt from its flow before it is adopted.
 
 Observability: every progress notification goes through the
 ``listeners`` event bus (one emission path shared by
@@ -100,6 +101,7 @@ MAX_LOOP_ITERATIONS = 1_000_000
 #: depth near 200. The compile walk refuses to descend past this.
 MAX_NESTING_DEPTH = 150
 
+_PENDING = ExecutionState.PENDING
 _RUNNING = ExecutionState.RUNNING
 _PAUSED = ExecutionState.PAUSED
 _COMPLETED = ExecutionState.COMPLETED
@@ -209,16 +211,19 @@ class _Flow:
 class FlowPlan:
     """A flow compiled for the engine, plus what admission checks.
 
-    ``missing`` lists unregistered operation names used by steps or rule
-    actions (sorted), ``problems`` the required-parameter violations of
-    registered ones, in document order.
+    ``status`` is the all-PENDING status tree, one node per flow and
+    step, that the execution running this plan adopts. ``missing`` lists
+    unregistered operation names used by steps or rule actions (sorted),
+    ``problems`` the required-parameter violations of registered ones,
+    in document order.
     """
 
-    __slots__ = ("root", "missing", "problems")
+    __slots__ = ("root", "status", "missing", "problems")
 
-    def __init__(self, root: _Flow, missing: List[str],
+    def __init__(self, root: _Flow, status: FlowStatus, missing: List[str],
                  problems: List[str]) -> None:
         self.root = root
+        self.status = status
         self.missing = missing
         self.problems = problems
 
@@ -232,8 +237,8 @@ def _is_template(value) -> bool:
 
 
 class _Lowering:
-    """One walk over a flow: checks it, builds its plan and collects
-    diagnostics.
+    """One walk over a flow: checks it, builds its plan and status tree
+    and collects diagnostics.
 
     Structural rules are checked on entry to each flow and step, in
     pre-order, so the first problem raised is the one
@@ -285,32 +290,39 @@ class _Lowering:
                 self.compiler.condition(rule.condition), actions))
         return lowered
 
-    def step(self, step: Step, path: str) -> _Step:
+    def step(self, step: Step, path: str) -> Tuple[_Step, FlowStatus]:
         where = f"step {path!r}"
         check_step(step, where)
         operation = self.operation(step.operation, where)
-        return _Step(step.name, operation, self.variables(step.variables),
-                     step.requirements, step.operation.assign_to,
-                     self.rules(step.rules, where))
+        return (_Step(step.name, operation, self.variables(step.variables),
+                      step.requirements, step.operation.assign_to,
+                      self.rules(step.rules, where)),
+                FlowStatus(name=step.name, state=_PENDING))
 
-    def flow(self, flow: Flow, path: str, level: int) -> _Flow:
-        """The plan of ``flow``, which sits ``level`` flows deep."""
+    def flow(self, flow: Flow, path: str,
+             level: int) -> Tuple[_Flow, FlowStatus]:
+        """The plan and status tree of ``flow``, which sits ``level``
+        flows deep."""
         if level > MAX_NESTING_DEPTH:
             raise NestingTooDeep()
         where = f"flow {path!r}"
         check_flow(flow, where)
         rules = self.rules(flow.logic.rules, where)
         children = []
+        statuses = []
         for child in flow.children:
             child_path = f"{path}/{child.name}"
             if isinstance(child, Step):
-                children.append(self.step(child, child_path))
+                lowered, status = self.step(child, child_path)
             else:
-                children.append(self.flow(child, child_path, level + 1))
+                lowered, status = self.flow(child, child_path, level + 1)
+            children.append(lowered)
+            statuses.append(status)
         node = _Flow(flow.name, self.variables(flow.variables), rules,
                      tuple(children))
         self.pattern(node, flow)
-        return node
+        return node, FlowStatus(name=flow.name, state=_PENDING,
+                                children=statuses)
 
     def pattern(self, node: _Flow, flow: Flow) -> None:
         pattern = flow.logic.pattern
@@ -364,17 +376,12 @@ class FlowEngine:
         operations and missing parameters are collected on the plan.
         """
         lowering = _Lowering(self.registry, self._compiler)
-        root = lowering.flow(flow, flow.name, 1)
-        return FlowPlan(root, sorted(lowering.missing), lowering.problems)
+        root, status = lowering.flow(flow, flow.name, 1)
+        return FlowPlan(root, status, sorted(lowering.missing),
+                        lowering.problems)
 
     def start(self, execution: FlowExecution, ctx: ExecutionContext):
-        """Launch ``execution`` as a simulation process and return it.
-
-        Runs the plan compiled at admission; an execution without one (a
-        restored checkpoint) has its plan built from its flow here.
-        """
-        if execution.plan is None:
-            execution.plan = self.compile(execution.flow)
+        """Launch ``execution`` as a simulation process and return it."""
         return self.env.process(self._run_root(execution, ctx))
 
     # -- notifications ------------------------------------------------------

@@ -7,29 +7,22 @@ of completed step instances (the unit of checkpoint/recovery), and the
 message log.
 
 The status tree reuses :class:`repro.dgl.model.FlowStatus` as a *mutable*
-structure: one node per definition node, mirrored up front so a status
-query can see PENDING children before they run. Loop flows report progress
+structure: one node per definition node, built all-PENDING by the compile
+walk (:class:`~repro.dfms.engine.FlowPlan`) so a status query can see
+PENDING children before they run. Loop flows report progress
 through ``iterations`` rather than materializing per-iteration nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import InvalidTransition
-from repro.dgl.model import ExecutionState, Flow, FlowStatus, Step
+from repro.dgl.model import ExecutionState, Flow
 from repro.sim.kernel import Environment, Event
 
-__all__ = ["FlowExecution", "JournalEntry", "build_status_tree"]
-
-
-def build_status_tree(node: Union[Flow, Step]) -> FlowStatus:
-    """Mirror a flow definition as an all-PENDING status tree."""
-    status = FlowStatus(name=node.name, state=ExecutionState.PENDING)
-    if isinstance(node, Flow):
-        status.children = [build_status_tree(child) for child in node.children]
-    return status
+__all__ = ["FlowExecution", "JournalEntry"]
 
 
 @dataclass
@@ -44,18 +37,18 @@ class JournalEntry:
 class FlowExecution:
     """One request's execution: status, control, journal, messages."""
 
-    def __init__(self, request_id: str, flow: Flow, user_name: str,
+    def __init__(self, request_id: str, flow: Flow, plan, user_name: str,
                  virtual_organization: str, env: Environment) -> None:
         self.request_id = request_id
         self.flow = flow
-        #: The :class:`~repro.dfms.engine.FlowPlan` the engine runs:
-        #: compiled at admission, or by the engine when a restored
-        #: execution starts without one; dropped once the run ends.
-        self.plan = None
+        #: The :class:`~repro.dfms.engine.FlowPlan` the engine runs,
+        #: compiled from ``flow`` (at admission, or when a checkpoint is
+        #: restored); dropped once the run ends.
+        self.plan = plan
         self.user_name = user_name
         self.virtual_organization = virtual_organization
         self.env = env
-        self.status = build_status_tree(flow)
+        self.status = plan.status
         self.state = ExecutionState.PENDING
         self.error: Optional[str] = None
         #: The exception object behind a FAILED state (``error`` keeps the

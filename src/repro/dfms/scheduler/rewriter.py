@@ -35,7 +35,7 @@ __all__ = ["bind_flow_early", "task_spec_for_exec", "pinned_steps"]
 _EXEC_OPERATIONS = ("exec",)
 
 
-def task_spec_for_exec(step: Step, scope=None) -> TaskSpec:
+def task_spec_for_exec(step: Step) -> TaskSpec:
     """Build a :class:`TaskSpec` from an ``exec`` step's parameters.
 
     Template parameters that cannot be resolved yet (loop variables, at
@@ -49,7 +49,7 @@ def task_spec_for_exec(step: Step, scope=None) -> TaskSpec:
         if value is None:
             return default
         try:
-            return render_template(value, scope or {})
+            return render_template(value, {})
         except ExpressionError:
             return default
 

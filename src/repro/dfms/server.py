@@ -33,7 +33,7 @@ from repro.dfms.context import ExecutionContext
 from repro.dfms.engine import FlowEngine, FlowPlan, NestingTooDeep
 from repro.dfms.execution import FlowExecution
 from repro.dfms.idl import InfrastructureDescription
-from repro.dfms.scheduler.cost import CostModel, CostWeights
+from repro.dfms.scheduler.cost import CostModel
 from repro.dfms.scheduler.placer import Placer
 from repro.dfms.virtualdata import VirtualDataCatalog
 from repro.dgl.expressions import Scope
@@ -45,7 +45,6 @@ from repro.dgl.model import (
     FlowStatusQuery,
     RequestAcknowledgement,
 )
-from repro.dgl.operations import OperationRegistry
 from repro.dgl.schema import check_request
 from repro.errors import DGLValidationError
 from repro.grid.dgms import DataGridManagementSystem
@@ -61,19 +60,17 @@ class DfMSServer:
 
     def __init__(self, env: Environment, dgms: DataGridManagementSystem,
                  name: str = "matrix-1",
-                 registry: Optional[OperationRegistry] = None,
                  infrastructure: Optional[InfrastructureDescription] = None,
                  placement_policy: str = "greedy",
-                 cost_weights: Optional[CostWeights] = None,
                  streams: Optional[RandomStreams] = None) -> None:
         self.env = env
         self.dgms = dgms
         self.name = name
-        self.registry = registry or bind_default_operations()
+        self.registry = bind_default_operations()
         self.engine = FlowEngine(env, self.registry)
         self.ids = IdFactory()
         self.virtual_data = VirtualDataCatalog(dgms)
-        self.cost_model = CostModel(dgms, weights=cost_weights)
+        self.cost_model = CostModel(dgms)
         self.placer: Optional[Placer] = None
         self._placement_policy = placement_policy
         # Randomized placement draws from a named substream of the
@@ -131,10 +128,9 @@ class DfMSServer:
                          plan: FlowPlan) -> FlowExecution:
         user = self.dgms.users.get(request.user)
         execution = FlowExecution(
-            request_id=request_id, flow=request.body,
+            request_id=request_id, flow=request.body, plan=plan,
             user_name=request.user,
             virtual_organization=request.virtual_organization, env=self.env)
-        execution.plan = plan
         ctx = ExecutionContext(env=self.env, dgms=self.dgms, user=user,
                                scope=Scope(), execution=execution,
                                server=self)

@@ -59,11 +59,12 @@ __all__ = [
 #: Stream name :meth:`FaultSchedule.random` draws from.
 SCHEDULE_STREAM = "fault-schedule"
 
-#: Event kinds :meth:`FaultSchedule.random` picks between by default.
-#: Domain outages are opt-in: they take down every resource and link of a
-#: failure domain at once, which small chaos topologies may not survive.
-DEFAULT_RANDOM_KINDS = ("storage-outage", "link-outage",
-                        "link-degradation", "flaky-window")
+#: Event kinds :meth:`FaultSchedule.random` picks between. Domain
+#: outages come only from explicit schedules: they take down every
+#: resource and link of a failure domain at once, which small chaos
+#: topologies may not survive.
+RANDOM_KINDS = ("storage-outage", "link-outage", "link-degradation",
+                "flaky-window")
 
 
 @dataclass(frozen=True)
@@ -267,9 +268,7 @@ class FaultSchedule:
 
     @classmethod
     def random(cls, streams: RandomStreams, dgms, horizon: float,
-               n_events: int = 6,
-               kinds: Sequence[str] = DEFAULT_RANDOM_KINDS
-               ) -> "FaultSchedule":
+               n_events: int = 6) -> "FaultSchedule":
         """A seeded random schedule against ``dgms``'s current layout.
 
         Draws exclusively from the ``fault-schedule`` substream, so the
@@ -282,13 +281,10 @@ class FaultSchedule:
         rng = streams.stream(SCHEDULE_STREAM)
         resources = dgms.resources.physical_names()
         links = dgms.topology.links
-        domains = sorted(dgms.topology.domains)
 
         def pick(kind: str, start: float, duration: float) -> FaultEvent:
             if kind == "storage-outage":
                 return StorageOutage(start, duration, rng.choice(resources))
-            if kind == "domain-outage":
-                return DomainOutage(start, duration, rng.choice(domains))
             if kind == "link-outage":
                 link = rng.choice(links)
                 return LinkOutage(start, duration, link.a, link.b)
@@ -296,12 +292,10 @@ class FaultSchedule:
                 link = rng.choice(links)
                 return LinkDegradation(start, duration, link.a, link.b,
                                        round(rng.uniform(0.1, 0.6), 3))
-            if kind == "flaky-window":
-                return FlakyWindow(start, duration, rng.choice(resources),
-                                   round(rng.uniform(0.05, 0.35), 3))
-            raise FaultError(f"unknown fault kind {kind!r}")
+            return FlakyWindow(start, duration, rng.choice(resources),
+                               round(rng.uniform(0.05, 0.35), 3))
 
-        return cls(draw_windows(rng, horizon, n_events, list(kinds), pick))
+        return cls(draw_windows(rng, horizon, n_events, RANDOM_KINDS, pick))
 
 
 def check_random_schedule(horizon: float, n_events: int) -> None:
@@ -322,7 +316,7 @@ def draw_windows(rng: random.Random, horizon: float, n_events: int,
     Each window draws, in this order, a kind from ``kinds``, a start in
     the first three quarters of ``horizon`` and a duration of 5–20 % of
     it; ``pick(kind, start, duration)`` then draws the kind's target from
-    the same ``rng`` (raising for a kind it does not know).
+    the same ``rng``.
     """
     events: List[FaultEvent] = []
     for _ in range(n_events):

@@ -94,8 +94,7 @@ def default_federation_seeds(count: int = 10) -> List[int]:
 
 
 def federation_fault_schedule(streams: RandomStreams, federation,
-                              horizon: float, n_events: int = 5,
-                              kinds: Sequence[str] = FEDERATION_RANDOM_KINDS
+                              horizon: float, n_events: int = 5
                               ) -> FaultSchedule:
     """A seeded random zone-scoped schedule against ``federation``.
 
@@ -110,21 +109,17 @@ def federation_fault_schedule(streams: RandomStreams, federation,
     if not zones:
         raise FaultError("federation has no zones to fault")
     bridges = federation.bridges()
-    usable = [kind for kind in kinds
+    usable = [kind for kind in FEDERATION_RANDOM_KINDS
               if kind != "bridge-degradation" or bridges]
-    if not usable:
-        raise FaultError(f"no usable fault kinds out of {tuple(kinds)!r}")
     rng = streams.stream(FEDERATION_SCHEDULE_STREAM)
 
     def pick(kind: str, start: float, duration: float) -> FaultEvent:
         if kind == "zone-outage":
             return ZoneOutage(start, duration, rng.choice(zones))
-        if kind == "bridge-degradation":
-            bridge = rng.choice(bridges)
-            return BridgeDegradation(start, duration, bridge.zone_a,
-                                     bridge.zone_b,
-                                     round(rng.uniform(0.1, 0.6), 3))
-        raise FaultError(f"unknown federation fault kind {kind!r}")
+        bridge = rng.choice(bridges)
+        return BridgeDegradation(start, duration, bridge.zone_a,
+                                 bridge.zone_b,
+                                 round(rng.uniform(0.1, 0.6), 3))
 
     return FaultSchedule(draw_windows(rng, horizon, n_events, usable, pick))
 

@@ -119,8 +119,7 @@ def spread_zones(federation: Federation, guid: str, k: int) -> List[str]:
 def cross_zone_copy_by_guid(federation: Federation, user, guid: str,
                             dst_zone: str, dst_path: str,
                             dst_logical_resource: str,
-                            policy: str = "bridge-cost-aware",
-                            replica_policy: str = "nearest") -> Process:
+                            policy: str = "bridge-cost-aware") -> Process:
     """Placement-driven copy: locate ``guid``, pick the source zone by
     ``policy``, and run the federation's resilient cross-zone copy.
 
@@ -148,7 +147,7 @@ def cross_zone_copy_by_guid(federation: Federation, user, guid: str,
         if obj is not None:
             return federation.cross_zone_copy(
                 user, src_zone, obj.path, dst_zone, dst_path,
-                dst_logical_resource, replica_policy=replica_policy)
+                dst_logical_resource)
     raise FederationError(
         f"no zone other than {dst_zone!r} is known to hold {guid!r} "
         "(replica location may be stale; retry after the sync bound)")

@@ -138,10 +138,9 @@ class BloomDigest:
         self.count = 0
 
     @classmethod
-    def for_capacity(cls, n_entries: int,
-                     bits_per_entry: int = BITS_PER_ENTRY) -> "BloomDigest":
+    def for_capacity(cls, n_entries: int) -> "BloomDigest":
         """A digest sized for ``n_entries`` keys."""
-        return cls(max(64, n_entries * bits_per_entry))
+        return cls(max(64, n_entries * BITS_PER_ENTRY))
 
     @classmethod
     def of_hashes(cls, hashes: Collection[int]) -> "BloomDigest":

@@ -39,12 +39,11 @@ class PassRecord:
 class ILMManager:
     """Registers and runs ILM policies on one DfMS server."""
 
-    def __init__(self, server: DfMSServer,
-                 value_model: Optional[DomainValueModel] = None) -> None:
+    def __init__(self, server: DfMSServer) -> None:
         self.server = server
         self.dgms = server.dgms
         self.env = server.env
-        self.value_model = value_model or DomainValueModel()
+        self.value_model = DomainValueModel()
         self._policies: Dict[str, ILMPolicy] = {}
         self.passes: List[PassRecord] = []
         self._recurring_stop: Dict[str, bool] = {}

@@ -35,8 +35,7 @@ def imploding_star_policy(
         archive_resource: str,
         trim_below_value: float = 0.25,
         delete_after_days: Optional[float] = None,
-        window: Optional[ExecutionWindow] = None,
-        query: str = "") -> ILMPolicy:
+        window: Optional[ExecutionWindow] = None) -> ILMPolicy:
     """The archiver-domain policy pulling everything inward.
 
     Rule order (first match wins):
@@ -68,15 +67,13 @@ def imploding_star_policy(
                        f"age_days > {delete_after_days}"),
             action="delete"))
     return ILMPolicy(name=name, collection=collection, domain=archiver_domain,
-                     rules=rules, query=query, window=window)
+                     rules=rules, window=window)
 
 
 def exploding_star_flow(
         name: str,
         collection: str,
-        tier_resources: Sequence[Sequence[str]],
-        query: str = "",
-        max_concurrent_per_tier: int = 0) -> Flow:
+        tier_resources: Sequence[Sequence[str]]) -> Flow:
     """Staged tiered replication outward from the producing domain.
 
     ``tier_resources`` lists, per tier, the logical resources that tier's
@@ -87,13 +84,12 @@ def exploding_star_flow(
         raise PolicyError("exploding star needs at least one non-empty tier")
     per_object = flow_builder("stage-out").sequential()
     for tier_index, resources in enumerate(tier_resources, start=1):
-        tier = flow_builder(f"tier-{tier_index}").parallel(
-            max_concurrent=max_concurrent_per_tier)
+        tier = flow_builder(f"tier-{tier_index}").parallel()
         for resource in resources:
             tier.step(f"to-{resource}", "srb.replicate",
                       path="${f}", resource=resource)
         per_object.subflow(tier)
     return (flow_builder(name)
-            .for_each("f", collection=collection, query=query or None)
+            .for_each("f", collection=collection)
             .subflow(per_object)
             .build())

@@ -53,9 +53,7 @@ class FailureInjector:
 
     @classmethod
     def for_resource(cls, streams: "RandomStreams", resource_name: str,
-                     probability: float = 0.0,
-                     fail_ops: Optional[Iterable[int]] = None
-                     ) -> "FailureInjector":
+                     probability: float = 0.0) -> "FailureInjector":
         """An injector drawing from the *per-resource* named stream.
 
         Each resource gets its own substream
@@ -65,8 +63,7 @@ class FailureInjector:
         of the run — the property chaos schedules need to be reproducible.
         """
         return cls(probability=probability,
-                   rng=streams.stream(f"{STREAM_PREFIX}/{resource_name}"),
-                   fail_ops=fail_ops)
+                   rng=streams.stream(f"{STREAM_PREFIX}/{resource_name}"))
 
     @property
     def op_count(self) -> int:

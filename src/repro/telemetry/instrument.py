@@ -58,7 +58,6 @@ class Observability(NamedTuple):
 
 def attach_observability(env, server=None, dgms=None,
                          capacity: Optional[int] = None,
-                         probes=None,
                          dump_path: Optional[str] = None) -> Observability:
     """Attach telemetry plus the flight recorder and SLO engine.
 
@@ -69,8 +68,7 @@ def attach_observability(env, server=None, dgms=None,
     same session. Both are strictly read-only over the simulation —
     attaching them cannot move a float (the E23 benchmark pins the
     20-seed chaos fingerprint with and without). Idempotent: a second
-    call returns the existing stack (``probes`` and ``capacity`` are
-    ignored then).
+    call returns the existing stack (``capacity`` is ignored then).
     """
     from repro.telemetry.recorder import DEFAULT_CAPACITY, FlightRecorder
     from repro.telemetry.slo import SLOEngine
@@ -88,6 +86,6 @@ def attach_observability(env, server=None, dgms=None,
             server.engine.listeners.append(recorder.engine_listener)
     slo = telemetry.slo
     if slo is None:
-        slo = SLOEngine(telemetry, probes=probes, server=server)
+        slo = SLOEngine(telemetry, server=server)
         telemetry.slo = slo
     return Observability(telemetry, recorder, slo)

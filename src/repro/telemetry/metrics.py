@@ -150,14 +150,14 @@ class Histogram(_Instrument):
             child.bucket_counts = [0] * (len(self.buckets) + 1)
         return child  # type: ignore[return-value]
 
-    def observe(self, value: float, at: Optional[float] = None) -> None:
-        """Record one observation, at sim time ``at`` (default: now).
+    def observe(self, value: float) -> None:
+        """Record one observation, at the current sim time.
 
         Buckets, sum, and count update immediately. Hot paths skip this
         method and append ``(at, value)`` to :attr:`samples` directly;
         :meth:`_fold` catches the buckets up at export time.
         """
-        self.samples.append((self._clock() if at is None else at, value))
+        self.samples.append((self._clock(), value))
         self._fold()
 
     def _fold(self) -> None:

@@ -309,19 +309,10 @@ class StallProbe:
         return alerts
 
 
-def default_probes(p99_threshold_s: float = 20.0, window_s: float = 5.0,
-                   max_recovery_actions: int = 0,
-                   max_queue_depth: int = 100_000,
-                   max_gateway_depth: int = 1_000,
-                   stall_quiet_s: float = 30.0) -> List[object]:
-    """The stock probe set, thresholds overridable per deployment."""
-    return [
-        FaultWindowProbe(),
-        TransferLatencyProbe(p99_threshold_s, window_s),
-        RecoveryPressureProbe(max_recovery_actions, window_s),
-        QueueDepthProbe(max_queue_depth, max_gateway_depth),
-        StallProbe(stall_quiet_s),
-    ]
+def default_probes() -> List[object]:
+    """The stock probe set, each probe at its default thresholds."""
+    return [FaultWindowProbe(), TransferLatencyProbe(),
+            RecoveryPressureProbe(), QueueDepthProbe(), StallProbe()]
 
 
 # --------------------------------------------------------------------------

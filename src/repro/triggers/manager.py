@@ -57,8 +57,8 @@ class TriggerManager:
         self.dgms = dgms
         self.server = server
         self.ordering = ordering
+        # Name -> trigger; the dict keeps registration order.
         self._triggers: Dict[str, DatagridTrigger] = {}
-        self._registration_order: List[str] = []
         self.firing_log: List[TriggerFiring] = []
         self.events_seen = 0
         #: Observers of trigger activity (same idiom as ``FlowEngine.
@@ -86,18 +86,16 @@ class TriggerManager:
         if trigger.name in self._triggers:
             raise TriggerError(f"trigger {trigger.name!r} already registered")
         self._triggers[trigger.name] = trigger
-        self._registration_order.append(trigger.name)
 
     def unregister(self, name: str) -> None:
         """Remove a trigger by name (raises if unknown)."""
         if name not in self._triggers:
             raise TriggerError(f"no trigger named {name!r}")
         del self._triggers[name]
-        self._registration_order.remove(name)
 
     def triggers(self) -> List[DatagridTrigger]:
         """Registered triggers, in registration order."""
-        return [self._triggers[name] for name in self._registration_order]
+        return list(self._triggers.values())
 
     def __len__(self) -> int:
         return len(self._triggers)
@@ -105,7 +103,8 @@ class TriggerManager:
     # -- ordering ------------------------------------------------------------
 
     def _ordered_matches(self, event: NamespaceEvent) -> List[DatagridTrigger]:
-        matches = [t for t in self.triggers() if t.matches_event(event)]
+        matches = [t for t in self._triggers.values()
+                   if t.matches_event(event)]
         if self.ordering == "priority":
             matches.sort(key=lambda t: (-t.priority, t.name))
         elif self.ordering == "owner":

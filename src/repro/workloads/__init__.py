@@ -10,7 +10,6 @@ from repro.workloads.chaos import (
 from repro.workloads.generators import (
     lognormal_sizes,
     populate_collection,
-    random_task_graph,
     sleep_bag_flow,
     sleep_chain_flow,
     uniform_sizes,
@@ -33,7 +32,7 @@ from repro.workloads.traffic import (
 
 __all__ = [
     "populate_collection", "uniform_sizes", "lognormal_sizes",
-    "sleep_bag_flow", "sleep_chain_flow", "random_task_graph",
+    "sleep_bag_flow", "sleep_chain_flow",
     "Scenario", "bbsrc_scenario", "cms_scenario", "scec_scenario",
     "ucsd_library_scenario",
     "ChaosReport", "run_chaos", "run_chaos_sweep", "sweep_fingerprint",

@@ -2,7 +2,7 @@
 
 Deterministic (seeded) builders for the populations and flow shapes the
 benchmarks sweep over: collections of files with size distributions and
-metadata, bag-of-steps and chain flows, and random task DAGs.
+metadata, and bag-of-steps and chain flows.
 """
 
 from __future__ import annotations
@@ -10,8 +10,6 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, List, Optional
 
-from repro.dfms.scheduler.cost import TaskSpec
-from repro.dfms.scheduler.dag import TaskGraph
 from repro.dgl.builder import flow_builder
 from repro.dgl.model import Flow
 from repro.grid.dgms import DataGridManagementSystem
@@ -20,7 +18,7 @@ from repro.storage import MB
 
 __all__ = [
     "populate_collection", "uniform_sizes", "lognormal_sizes",
-    "sleep_bag_flow", "sleep_chain_flow", "random_task_graph",
+    "sleep_bag_flow", "sleep_chain_flow",
 ]
 
 
@@ -81,26 +79,3 @@ def sleep_chain_flow(name: str, depth: int, duration: float) -> Flow:
         outer.subflow(inner)
         inner = outer
     return inner.build()
-
-
-def random_task_graph(rng: random.Random, count: int,
-                      duration_low: float = 10.0,
-                      duration_high: float = 100.0,
-                      edge_probability: float = 0.25,
-                      edge_bytes: float = 10 * MB) -> TaskGraph:
-    """A random layered DAG of ``count`` tasks (for HEFT benchmarks).
-
-    Edges only point from earlier to later tasks, so the graph is acyclic
-    by construction.
-    """
-    graph = TaskGraph()
-    names = [f"task-{index:04d}" for index in range(count)]
-    for name in names:
-        graph.add_task(TaskSpec(
-            name=name,
-            duration=rng.uniform(duration_low, duration_high)))
-    for i, producer in enumerate(names):
-        for consumer in names[i + 1:]:
-            if rng.random() < edge_probability:
-                graph.add_edge(producer, consumer, nbytes=edge_bytes)
-    return graph

@@ -132,28 +132,26 @@ def bbsrc_scenario(n_hospitals: int = 4, files_per_hospital: int = 10,
 
 def cms_scenario(n_tier1: int = 2, n_tier2_per_t1: int = 2,
                  n_events: int = 8, event_size: float = 50 * MB,
-                 seed: int = 0,
-                 uplink_bandwidth: float = 10 * MB,
-                 regional_bandwidth: float = 100 * MB) -> Scenario:
+                 seed: int = 0) -> Scenario:
     """CERN pushing event data down a tier hierarchy (exploding star).
 
     The link shape matters: the CERN → tier-1 uplinks are long and thin
-    (the mid-2000s transatlantic reality), while tier-1 → tier-2 links are
-    short regional fat pipes. That asymmetry is why the paper's *staged*
-    replication wins — tier-2 copies should cross the regional links, not
-    the contended uplinks.
+    (10 MB/s, the mid-2000s transatlantic reality), while tier-1 → tier-2
+    links are short regional fat pipes (100 MB/s). That asymmetry is why
+    the paper's *staged* replication wins — tier-2 copies should cross the
+    regional links, not the contended uplinks.
     """
     topology = Topology()
     tier1 = [f"t1-{index}" for index in range(n_tier1)]
     tier2: List[str] = []
     for t1 in tier1:
         topology.connect("cern", t1, latency_s=0.05,
-                         bandwidth_bps=uplink_bandwidth)
+                         bandwidth_bps=10 * MB)
         for index in range(n_tier2_per_t1):
             t2 = f"{t1}-t2-{index}"
             tier2.append(t2)
             topology.connect(t1, t2, latency_s=0.02,
-                             bandwidth_bps=regional_bandwidth)
+                             bandwidth_bps=100 * MB)
     scenario = _base("cms", topology)
     dgms = scenario.dgms
     dgms.register_domain("cern", DomainRole.PRODUCER)

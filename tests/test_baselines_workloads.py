@@ -17,7 +17,6 @@ from repro.workloads import (
     bbsrc_scenario,
     cms_scenario,
     populate_collection,
-    random_task_graph,
     scec_scenario,
     sleep_bag_flow,
     sleep_chain_flow,
@@ -211,16 +210,6 @@ def test_sleep_bag_and_chain_flows():
     chain = sleep_chain_flow("chain", depth=5, duration=1.0)
     assert chain.depth() == 5
     assert chain.count_steps() == 1
-
-
-def test_random_task_graph_is_acyclic_and_seeded():
-    rng1 = RandomStreams(5).stream("dag")
-    rng2 = RandomStreams(5).stream("dag")
-    g1 = random_task_graph(rng1, 20)
-    g2 = random_task_graph(rng2, 20)
-    assert len(g1) == 20
-    assert [t.name for t in g1.topological_order()] == \
-           [t.name for t in g2.topological_order()]
 
 
 # -- scenarios ------------------------------------------------------------------

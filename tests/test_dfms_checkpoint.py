@@ -225,3 +225,24 @@ def test_restore_replace_refuses_live_execution(dfms):
         yield dfms.server.wait(ack.request_id)
 
     dfms.run(drain())
+
+
+def test_checkpoint_that_fails_to_compile_leaves_the_server_untouched(dfms):
+    # The flow is compiled before the execution is built or adopted, so
+    # a document that no longer passes the schema leaves nothing behind.
+    from repro.dgl.model import Variable
+    from repro.dgl.xml_io import request_to_xml
+    from repro.errors import DGLValidationError, UnknownRequestError
+    flow = flow_builder("broken").step("s", "dgl.noop").build()
+    flow.variables.extend([Variable("x", 1), Variable("x", 2)])
+    snapshot = {
+        "format": 1, "request_id": "matrix-1.dgr-broken", "journal": [],
+        "request_xml": request_to_xml(DataGridRequest(
+            user=dfms.alice.qualified_name, virtual_organization="vo",
+            body=flow)),
+    }
+    with pytest.raises(DGLValidationError, match="duplicate"):
+        restore_execution(dfms.server, snapshot)
+    assert dfms.server.executions() == []
+    with pytest.raises(UnknownRequestError):
+        dfms.server.execution("matrix-1.dgr-broken")

@@ -1,4 +1,4 @@
-"""Tests for the memoizing DGMS cache tier: hits, TTL, precise
+"""Tests for the memoizing DGMS cache tier: hits, capacity, precise
 invalidation via the catalog change feed, replica-choice staleness
 stamps (fault windows included), and ACL safety."""
 
@@ -134,20 +134,6 @@ def test_checksum_conditions_bypass_the_cache(cached):
     assert len(grid.dgms.query(grid.alice, query)) == 1
     assert cache.bypasses["query"] == 2
     assert cache.misses["query"] == 0
-
-
-def test_ttl_expires_entries_in_sim_time(grid):
-    cache = DgmsCache(grid.dgms, query_ttl_s=5.0).attach()
-    grid.put_file("/home/alice/a.dat")
-    grid.dgms.query(grid.alice, hot_query())
-
-    def _wait():
-        yield grid.env.timeout(6.0)
-
-    grid.run(_wait())
-    grid.dgms.query(grid.alice, hot_query())
-    assert cache.misses["query"] == 2
-    assert cache.evictions["ttl"] == 1
 
 
 def test_capacity_evicts_oldest_entry(grid):
